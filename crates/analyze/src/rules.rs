@@ -140,8 +140,8 @@ order provably cannot leak into results, document why at the site and add
         }
         SHARED_STATE => {
             "\
-The EvalCache/WorkerPool substrate is shared across worker threads and is
-slated to be shared across concurrent jobs (coolnet-serve). A bare
+The EvalCache and the evaluation pool (`opt::pool::Pool`) are shared
+across worker threads and, in coolnet-serve, across concurrent jobs. A bare
 `.lock().unwrap()` turns one absorbed worker panic into a poisoned mutex
 that wedges every later user of the shared state. All lock acquisitions
 outside tests must tolerate poisoning:

@@ -1,6 +1,6 @@
 //! Staged-SA reuse benchmark: wall-clock and transparency of the
-//! evaluation-reuse layer (evaluator cache + persistent worker pool)
-//! against the seed path (no cache, fresh thread scope per iteration).
+//! evaluation cache, against the same search with the cache off. Both
+//! arms score on the same kind of evaluation pool.
 //!
 //! ```sh
 //! cargo run --release -p coolnet-bench --bin sa_bench
@@ -16,7 +16,8 @@
 //! comes from a default-scale run.
 //!
 //! Each run is a paired comparison at a fixed seed: the `plain` arm uses
-//! [`ReuseOptions::off`], the `reused` arm the default reuse layer. The
+//! [`ReuseOptions::off`] (cache off), the `reused` arm the default reuse
+//! layer. The
 //! artifact records, per run, the wall time of both arms, the speedup,
 //! and — the transparency contract — whether the two designs are
 //! bit-for-bit identical. Cache and pool counters come from `coolnet-obs`
@@ -44,7 +45,7 @@ struct RunResult {
     case: usize,
     /// SA seed shared by both arms.
     seed: u64,
-    /// Wall time of the seed path (reuse off), seconds.
+    /// Wall time with the cache off, seconds.
     plain_s: f64,
     /// Wall time with the reuse layer, seconds.
     reused_s: f64,

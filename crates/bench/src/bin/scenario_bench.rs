@@ -48,8 +48,9 @@ struct ScenarioResult {
     pumping_energy: f64,
     /// Wall time of the scoring run, seconds.
     wall_s: f64,
-    /// FNV-1a digest of the trace's IEEE-754 bit patterns.
-    fingerprint: u64,
+    /// FNV-1a digest of the trace's IEEE-754 bit patterns, as 16 hex
+    /// digits (a JSON number above 2^53 would be rounded by readers).
+    fingerprint: String,
     /// A repeat run at 1 solver thread was bit-identical.
     replay_identical: bool,
     /// Runs at 2 and 4 solver threads matched the 1-thread fingerprint.
@@ -127,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             peak_stress: trace.peak_stress().value(),
             pumping_energy: trace.pumping_energy(),
             wall_s,
-            fingerprint,
+            fingerprint: format!("{fingerprint:016x}"),
             replay_identical,
             threads_identical,
         };

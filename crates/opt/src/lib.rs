@@ -24,10 +24,13 @@
 //!   (hotspot migration, pump failure/recovery, inlet excursions) with a
 //!   scored, replayable trace;
 //! * **Evaluation reuse** — [`evalcache`] memoizes built networks, warm
-//!   evaluators and computed scores behind a bounded LRU cache, and
-//!   [`sa::with_worker_pool`] replaces per-iteration thread spawns with a
-//!   persistent worker pool. Both are behaviorally transparent: a fixed
-//!   seed produces the same design with them on or off.
+//!   evaluators and computed scores behind a bounded LRU cache; it is
+//!   behaviorally transparent: a fixed seed produces the same design with
+//!   it on or off;
+//! * **Parallel scoring** — [`pool::Pool`] is the one thread pool behind
+//!   every candidate batch: [`sa`] and [`treeopt`] build one per run and
+//!   `coolnet-serve` shares one across jobs. Batches come back in item
+//!   order, so results do not depend on the thread count.
 //!
 //! # Examples
 //!
@@ -54,6 +57,7 @@ pub mod differential;
 pub mod evalcache;
 pub mod evaluate;
 pub mod netscore;
+pub mod pool;
 pub mod psearch;
 pub mod result;
 pub mod runtime;

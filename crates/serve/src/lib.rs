@@ -7,7 +7,7 @@
 //! batch/queue workload:
 //!
 //! * **Multi-tenancy** — a [`JobQueue`] drives N jobs concurrently over
-//!   one process-wide [`SolverPool`](pool::SolverPool) and one scope-keyed
+//!   one process-wide [`Pool`](coolnet_opt::pool::Pool) and one scope-keyed
 //!   [`EvalCache`](coolnet_opt::evalcache::EvalCache); per-job state
 //!   (frozen pressures, warm starts, RNG chains) stays private to each
 //!   job.
@@ -47,12 +47,10 @@
 #![forbid(unsafe_code)]
 
 pub mod job;
-pub mod pool;
 pub mod queue;
 
 pub use job::{
     BatchReport, DesignSummary, DeterministicCore, FaultSpec, GridSpec, JobArtifact, JobOutcome,
     JobSpec, SearchPreset,
 };
-pub use pool::SolverPool;
 pub use queue::{JobHandle, JobQueue, QueueOptions};

@@ -6,7 +6,7 @@
 //! `tests/eval_cache.rs`; this suite extends it across worker-thread
 //! counts. The argument the static `determinism` lint cannot make on its
 //! own: RNG draws happen on the coordinating thread (so the candidate
-//! sequence is thread-count independent), `WorkerPool::map` writes results
+//! sequence is thread-count independent), `Pool::execute` writes results
 //! back by candidate index (so ordering is restored), and each cache entry
 //! computes deterministically after `Evaluator::reset_state` (so *which*
 //! thread computes an entry cannot matter). These tests prove the

@@ -1,11 +1,10 @@
 //! End-to-end transparency checks for the evaluation-reuse layer.
 //!
-//! The staged SA's evaluator cache and persistent worker pool are pure
-//! speed-ups: a fixed seed must yield bit-for-bit the same [`DesignResult`]
-//! with reuse on or off, for both problem formulations. These tests pin
-//! that contract at the workspace level (the full facade-crate path an
-//! application would take), and check that the cache actually serves hits
-//! while doing so.
+//! The staged SA's evaluator cache is a pure speed-up: a fixed seed must
+//! yield bit-for-bit the same [`DesignResult`] with the cache on or off,
+//! for both problem formulations. These tests pin that contract at the
+//! workspace level (the full facade-crate path an application would
+//! take), and check that the cache actually serves hits while doing so.
 
 use coolnet::obs;
 use coolnet::prelude::*;
@@ -66,6 +65,6 @@ fn cache_serves_hits_during_a_search() {
     );
     assert!(
         after.counter_delta(&before, "sa.pool_tasks") > 0,
-        "candidate batches must flow through the persistent pool"
+        "candidate batches must flow through the evaluation pool"
     );
 }

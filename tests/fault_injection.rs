@@ -8,8 +8,10 @@
 //! gate serializes tests so concurrent threads cannot consume each
 //! other's fault indices.
 
+use coolnet::opt::evalcache::EvalCache;
 use coolnet::opt::runtime::{simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions};
 use coolnet::opt::sa::{anneal_with_stats, SaOptions};
+use coolnet::opt::treeopt::{EvalKind, EvalRequest, RequestScorer};
 use coolnet::prelude::*;
 use coolnet::sparse::resilience::fault::{self, FaultKind, FaultPlan};
 use coolnet::sparse::LadderHint;
@@ -249,6 +251,69 @@ fn sa_run_survives_chaotic_cost_evaluations() {
     assert_eq!(a.best, b.best);
     assert_eq!(a.best_cost, b.best_cost);
     assert_eq!(a.failures, b.failures);
+}
+
+/// A candidate whose solve exhausts the ladder scores `+∞` just like a
+/// physically infeasible one, but only the solver error is counted in
+/// `eval.solver_errors` — on every path that can raise one: building the
+/// evaluator, a frozen-pressure profile, and the full evaluation.
+#[test]
+fn solver_errors_are_counted_apart_from_infeasible_candidates() {
+    let dims = GridDims::new(21, 21);
+    let bench = Benchmark::iccad_scaled(1, dims);
+    let opts = TreeSearchOptions::quick(1);
+    let flow = GlobalFlow::WestToEast;
+    let trees = TreeConfig::max_trees(dims, flow, opts.style);
+    let config = TreeConfig::uniform(flow, opts.style, trees, 8, 14);
+    let request = |kind| EvalRequest {
+        config: config.clone(),
+        model: ModelChoice::fast(),
+        kind,
+    };
+    let solver_errors = |before: &coolnet::obs::MetricsSnapshot| {
+        coolnet::obs::snapshot().counter_delta(before, "eval.solver_errors")
+    };
+    let infinite = |(cost, p): (f64, Option<Pascal>)| cost == f64::INFINITY && p.is_none();
+    let exhausted = || FaultPlan::fail_first(100_000, FaultKind::NotConverged);
+    let p = Pascal::from_kilopascals(5.0);
+
+    // A cached scorer builds its evaluator on a clean first request, so
+    // the faulted requests after it reach the profile and full-score
+    // paths.
+    let cached = RequestScorer::new(&bench, opts.psearch, Problem::PumpingPower)
+        .with_cache(std::sync::Arc::new(EvalCache::new(8)), 0);
+    let clean = fault::inject(&FaultPlan::none());
+    let before = coolnet::obs::snapshot();
+    assert!(
+        before.counters.contains_key("eval.solver_errors"),
+        "registered eagerly, so snapshots export an explicit zero"
+    );
+    let (gradient, _) = cached.score(&request(EvalKind::GradientAt(p)));
+    assert!(gradient.is_finite());
+    assert_eq!(solver_errors(&before), 0);
+    drop(clean);
+
+    let scope = fault::inject(&exhausted());
+    let before = coolnet::obs::snapshot();
+    assert!(infinite(cached.score(&request(EvalKind::ObjectiveAt(p)))));
+    assert_eq!(solver_errors(&before), 1, "profile error");
+    assert!(infinite(cached.score(&request(EvalKind::Full))));
+    assert_eq!(solver_errors(&before), 2, "full-evaluation error");
+    let uncached = RequestScorer::new(&bench, opts.psearch, Problem::PumpingPower);
+    assert!(infinite(uncached.score(&request(EvalKind::Full))));
+    assert_eq!(solver_errors(&before), 3, "evaluator construction error");
+    drop(scope);
+
+    // Physics, not the solver: a T*_max below the inlet temperature is
+    // infeasible for every network, and must not count as an error.
+    let mut impossible = bench.clone();
+    impossible.t_max_limit = Kelvin::new(290.0);
+    let scorer = RequestScorer::new(&impossible, opts.psearch, Problem::PumpingPower);
+    let clean = fault::inject(&FaultPlan::none());
+    let before = coolnet::obs::snapshot();
+    assert!(infinite(scorer.score(&request(EvalKind::Full))));
+    assert_eq!(solver_errors(&before), 0);
+    drop(clean);
 }
 
 /// A mid-trace solver fault in the run-time simulation surfaces a
