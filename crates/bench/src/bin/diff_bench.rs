@@ -60,8 +60,6 @@ struct LadderSummary {
     escalations: u64,
     /// Attempts beyond one per solve (`attempts - solves`).
     wasted_attempts: u64,
-    /// Solves started on a sticky per-site rung hint.
-    hinted_solves: u64,
     /// Solves the diagnostics gate routed straight to the dense rung.
     diag_routed: u64,
 }
@@ -75,7 +73,6 @@ impl LadderSummary {
             attempts,
             escalations: after.counter_delta(before, "ladder.escalations"),
             wasted_attempts: attempts.saturating_sub(solves),
-            hinted_solves: after.counter_delta(before, "ladder.hinted_solves"),
             diag_routed: after.counter_delta(before, "ladder.diag_routed"),
         }
     }
@@ -136,7 +133,9 @@ struct DiffBench {
     ladder: LadderSummary,
     /// Evaluation-cache deltas over the base sweep (expected all 0).
     cache: CacheSummary,
-    /// End-of-run snapshot of every `coolnet-obs` metric.
+    /// Snapshot of every `coolnet-obs` metric taken right after the base
+    /// sweep, so its counters cover the same window as `ladder` and
+    /// `cache` (the thread replays are not counted).
     metrics: MetricsSnapshot,
     /// Per-case differential reports.
     cases: Vec<CaseReport>,
@@ -273,7 +272,7 @@ fn main() {
         wall_s,
         ladder: LadderSummary::delta(&after, &before),
         cache: CacheSummary::delta(&after, &before),
-        metrics: coolnet_obs::snapshot(),
+        metrics: after,
         cases: reports,
     };
     println!(

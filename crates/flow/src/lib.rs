@@ -49,8 +49,3 @@ pub use error::FlowError;
 pub use field::FlowField;
 pub use model::FlowModel;
 pub use widths::WidthMap;
-
-// Sticky-rung solver hint, re-exported so downstream callers can thread
-// one through [`FlowModel::with_widths_hinted`] without a direct
-// `coolnet-sparse` dependency.
-pub use coolnet_sparse::LadderHint;

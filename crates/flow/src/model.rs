@@ -8,7 +8,7 @@ use coolnet_grid::{Cell, Dir};
 use coolnet_network::{CoolingNetwork, PortKind};
 use coolnet_obs::LazyCounter;
 use coolnet_sparse::precond::Jacobi;
-use coolnet_sparse::{LadderHint, SolveReport, SolveStats, SolverOptions, TripletBuilder};
+use coolnet_sparse::{SolveReport, SolveStats, SolverOptions, TripletBuilder};
 use coolnet_units::{Pascal, Watt};
 
 /// Hydraulic assemblies: one unit-pressure system built and solved per
@@ -75,30 +75,6 @@ impl FlowModel {
         net: &CoolingNetwork,
         config: &FlowConfig,
         widths: Option<&WidthMap>,
-    ) -> Result<Self, FlowError> {
-        Self::with_widths_hinted(net, config, widths, &mut LadderHint::new())
-    }
-
-    /// Like [`with_widths`](Self::with_widths), but consulting and
-    /// updating a caller-owned sticky [`LadderHint`] for the unit pressure
-    /// solve. Callers building many models in one deterministic sequence
-    /// (e.g. the evaluator's per-layer loop) pass one hint across the
-    /// sequence so an escalation on one model starts the next ones on the
-    /// rung that worked.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a width exceeds the cell pitch or the map dimensions
-    /// mismatch the network's.
-    pub fn with_widths_hinted(
-        net: &CoolingNetwork,
-        config: &FlowConfig,
-        widths: Option<&WidthMap>,
-        hint: &mut LadderHint,
     ) -> Result<Self, FlowError> {
         if let Some(w) = widths {
             assert_eq!(w.dims(), net.dims(), "width map dimension mismatch");
@@ -180,10 +156,9 @@ impl FlowModel {
         let matrix = builder.to_csr();
         M_ASSEMBLIES.inc();
         let options = SolverOptions::with_tolerance(1e-12);
-        let solution =
-            config
-                .ladder
-                .solve_hinted(&matrix, &rhs, &Jacobi::new(&matrix), &options, hint)?;
+        let solution = config
+            .ladder
+            .solve(&matrix, &rhs, &Jacobi::new(&matrix), &options)?;
         let unit_pressures = solution.solution;
 
         // System flow at unit pressure: total flow through all inlets.

@@ -1,7 +1,7 @@
 //! Cooling-system evaluation: one network + one benchmark, any pressure.
 
 use coolnet_cases::Benchmark;
-use coolnet_flow::{FlowConfig, FlowModel, LadderHint};
+use coolnet_flow::{FlowConfig, FlowModel};
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::{FourRm, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
@@ -108,11 +108,6 @@ impl Evaluator {
         // undercounts W_pump N× and makes pressure_for_power convert the
         // Problem-2 budget into a too-generous pressure cap.
         let mut flows = Vec::new();
-        // One sticky rung hint across the layer loop: the layers share
-        // geometry, so an escalation on one layer's pressure solve starts
-        // the remaining layers on the rung that worked. The hint is local
-        // to this construction, keeping the evaluator replay-deterministic.
-        let mut flow_hint = LadderHint::new();
         for &li in stack.channel_layer_indices().iter() {
             if let coolnet_thermal::LayerKind::Channel {
                 network,
@@ -121,12 +116,7 @@ impl Evaluator {
                 ..
             } = &stack.layers()[li].kind
             {
-                flows.push(FlowModel::with_widths_hinted(
-                    network,
-                    flow,
-                    widths.as_ref(),
-                    &mut flow_hint,
-                )?);
+                flows.push(FlowModel::with_widths(network, flow, widths.as_ref())?);
             }
         }
         if flows.is_empty() {

@@ -334,16 +334,11 @@ pub fn simulate_adaptive_flow(
         let scale = trace.scale_at(t_start);
         let p = ctx.p;
         if p != built_p {
-            // Warm-start the new operator from the latest field, keeping
-            // the sticky rung hint: a pressure change rebuilds the
-            // operator, not the difficulty of the solves, so the learned
-            // rung must survive the rebuild.
-            let hint = tr.take_hint();
+            // Warm-start the new operator from the latest field.
             tr = match plant.integrator(p, opts.dt, snapshot.as_ref()) {
                 Ok(tr) => tr,
                 Err(e) => return Err(fail(ctx, e)),
             };
-            tr.restore_hint(hint);
             built_p = p;
         }
         tr.set_power_scale(scale);
@@ -572,72 +567,6 @@ mod tests {
             (energy - w * 0.105).abs() < 1e-9 * w.max(1.0),
             "energy {energy} != w_pump x duration {}",
             w * 0.105
-        );
-    }
-
-    #[test]
-    fn ladder_hint_survives_integrator_rebuilds() {
-        // Regression for the hint-loss bug: `Plant::integrator` built a
-        // fresh `Transient` (and with it a fresh `LadderHint`) on every
-        // pressure change, so a moving controller re-paid the full
-        // escalation cascade each interval. With a deliberately broken
-        // rung 0 (1-iteration budget) every solve escalates to rung 1;
-        // once hinted, later solves must *start* there — across rebuilds.
-        // Pre-fix: `ladder.hinted_solves` delta stayed 0 on a moving run
-        // and every interval's first solve burned rung 0 again.
-        use coolnet_sparse::resilience::{PrecondSpec, Rung, SolverKind};
-
-        let _guard = metrics_lock();
-        let (bench, net) = setup();
-        let trace = PowerTrace::new(vec![(0.05, 1.0)]);
-        let mut thermal = ThermalConfig::default();
-        // Rung 0 cannot converge in one iteration; rung 1 keeps the
-        // normal budget. Every solve therefore escalates 0 -> 1 until the
-        // hint pins the start at rung 1.
-        thermal.ladder.rungs[0] = Rung {
-            solver: SolverKind::Bicgstab,
-            precond: PrecondSpec::Identity,
-            tolerance_factor: 1.0,
-            iteration_factor: 1e-9,
-        };
-        let opts = RuntimeOptions {
-            dt: 1e-3,
-            // One step per interval: the controller moves the pressure
-            // before every solve, forcing a rebuild per interval.
-            control_interval: 1,
-            p_initial: Pascal::from_kilopascals(5.0),
-            thermal,
-            ..RuntimeOptions::default()
-        };
-        // A low gain keeps the pressure rising a few hundred pascals per
-        // step for the whole trace without ever clamping at a bound, so
-        // every interval rebuilds the integrator.
-        let hot = FlowController {
-            target: Kelvin::new(300.5),
-            gain: 20.0,
-            p_min: Pascal::from_kilopascals(0.5),
-            p_max: Pascal::from_kilopascals(60.0),
-        };
-        let before = coolnet_obs::snapshot();
-        let samples = simulate_adaptive_flow(&bench, &net, &trace, &hot, &opts).unwrap();
-        let after = coolnet_obs::snapshot();
-        assert_eq!(samples.len(), 50);
-        let rebuilds = after.counter_delta(&before, "runtime.integrator_rebuilds");
-        assert!(
-            rebuilds >= 45,
-            "need a rebuild per interval, got {rebuilds}"
-        );
-        // Most of the 50 solves must start on the carried hint; only the
-        // cold first solve and the periodic decay re-probes (every
-        // DEFAULT_HINT_DECAY hinted successes) escalate from rung 0. The
-        // threshold tolerates concurrent tests in this binary inflating
-        // the process-global ladder counters — they can only add hinted
-        // solves, never remove them, and pre-fix this run contributed 0.
-        let hinted = after.counter_delta(&before, "ladder.hinted_solves");
-        assert!(
-            hinted >= 20,
-            "only {hinted} hinted solves across {rebuilds} rebuilds \
-             (pre-fix behavior: 0 — the hint died with every rebuild)"
         );
     }
 

@@ -15,8 +15,8 @@
 //! max-spatial-gradient thermal-stress proxy
 //! ([`ThermalSolution::stress_proxy`]). The runner reuses the
 //! [`runtime`](crate::runtime) plant machinery — integrators persist
-//! across intervals, rebuild only on pressure changes, and carry their
-//! sticky ladder hint across rebuilds — and applies power-map and
+//! across intervals and rebuild only on pressure changes, warm-started
+//! from the latest field — and applies power-map and
 //! inlet-temperature events through the cheap RHS-refresh hooks
 //! ([`Transient::set_power_map`], [`Transient::set_inlet_temperature`]),
 //! never paying a reassembly for them.
@@ -629,7 +629,7 @@ pub fn run_scenario(
 
     // Integrators persist across intervals and rebuild only on pressure
     // changes (the advection operator depends on `P_sys`), warm-started
-    // from the latest field with the sticky ladder hint carried over.
+    // from the latest field.
     // Built eagerly at `p_initial`; a t = 0 forced-pressure event simply
     // triggers an immediate rebuild before any step runs.
     let mut tr = match plant.integrator(spec.p_initial, spec.dt, None) {
@@ -674,14 +674,11 @@ pub fn run_scenario(
         }
 
         if built_p != p {
-            // Warm-start the new operator from the latest field, keeping
-            // the sticky rung hint across the rebuild.
-            let hint = tr.take_hint();
+            // Warm-start the new operator from the latest field.
             tr = match plant.integrator(p, spec.dt, snapshot.as_ref()) {
                 Ok(t) => t,
                 Err(e) => return Err(fail(ctx, e)),
             };
-            tr.restore_hint(hint);
             built_p = p;
         }
 

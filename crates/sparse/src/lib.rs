@@ -66,7 +66,6 @@ pub use coo::TripletBuilder;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use resilience::{
-    DiagnosticsGate, LadderError, LadderHint, LadderSolution, MatrixDiagnostics, SolveLadder,
-    SolveReport,
+    DiagnosticsGate, LadderError, LadderSolution, MatrixDiagnostics, SolveLadder, SolveReport,
 };
 pub use solve::{Solution, SolveError, SolveStats, SolverOptions};

@@ -58,11 +58,6 @@ static M_RUNG_CONVERGED: [LazyCounter; 5] = [
     LazyCounter::new("ladder.rung3_converged"),
     LazyCounter::new("ladder.rung4plus_converged"),
 ];
-/// Solves that started on a sticky per-site rung hint ([`LadderHint`]).
-static M_HINTED: LazyCounter = LazyCounter::new("ladder.hinted_solves");
-/// Hints cleared, by decay (K consecutive hinted successes) or by a
-/// failure of the hinted starting rung.
-static M_HINT_RESETS: LazyCounter = LazyCounter::new("ladder.hint_resets");
 /// Solves the diagnostics gate routed straight to the terminal dense rung.
 static M_DIAG_ROUTED: LazyCounter = LazyCounter::new("ladder.diag_routed");
 
@@ -83,8 +78,6 @@ fn register_metrics() {
         for c in &M_RUNG_CONVERGED {
             c.register();
         }
-        M_HINTED.register();
-        M_HINT_RESETS.register();
         M_DIAG_ROUTED.register();
     });
 }
@@ -201,96 +194,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Hinted successes before a sticky rung hint decays back to rung 0.
-pub const DEFAULT_HINT_DECAY: u32 = 8;
-
-/// Sticky per-call-site rung memory for [`SolveLadder::solve_hinted`].
-///
-/// A hint remembers the rung the ladder last escalated to at one call
-/// site, so the next solve from that site starts there instead of burning
-/// the rungs below it again. After `decay` consecutive hinted successes
-/// the hint falls back to rung 0, re-probing the cheap rungs so transient
-/// stiffness cannot pin a site on an expensive rung forever. A failure of
-/// the hinted starting rung (including an injected fault) clears the hint
-/// immediately and the solve escalates through the full ladder from
-/// rung 0.
-///
-/// Hints hold no clocks and no randomness: their evolution is a pure
-/// function of the sequence of solves made through them, so a site that
-/// replays the same systems replays the same hint states bit for bit.
-/// Each hint must be owned by exactly one deterministic call sequence
-/// (e.g. one probe cache, one transient integrator) — sharing a hint
-/// across concurrently scored candidates would make its state depend on
-/// the thread schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LadderHint {
-    rung: Option<usize>,
-    streak: u32,
-    decay: u32,
-}
-
-impl Default for LadderHint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LadderHint {
-    /// A cold hint (next solve starts at rung 0) with the default decay.
-    pub fn new() -> Self {
-        Self::with_decay(DEFAULT_HINT_DECAY)
-    }
-
-    /// A cold hint decaying after `decay` consecutive hinted successes
-    /// (clamped to at least 1).
-    pub fn with_decay(decay: u32) -> Self {
-        Self {
-            rung: None,
-            streak: 0,
-            decay: decay.max(1),
-        }
-    }
-
-    /// A hint already pointing at `rung`, as if the last solve through it
-    /// had escalated there (for tests and tuning experiments).
-    pub fn pinned(rung: usize) -> Self {
-        Self {
-            rung: Some(rung),
-            streak: 0,
-            decay: DEFAULT_HINT_DECAY,
-        }
-    }
-
-    /// The rung the next hinted solve will start at, if any.
-    pub fn rung(&self) -> Option<usize> {
-        self.rung
-    }
-
-    /// Clears the hint: the next solve starts at rung 0.
-    pub fn reset(&mut self) {
-        self.rung = None;
-        self.streak = 0;
-    }
-
-    /// Records a success on the hinted rung; returns `true` when the
-    /// streak reached the decay threshold and the hint was cleared.
-    fn note_hinted_success(&mut self) -> bool {
-        self.streak += 1;
-        if self.streak >= self.decay {
-            self.reset();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remembers `rung` as the sticky starting point.
-    fn stick(&mut self, rung: usize) {
-        self.rung = Some(rung);
-        self.streak = 0;
-    }
-}
-
 /// Cheap structural diagnostics of a system matrix, measured in one
 /// `O(nnz)` pass (negligible next to any Krylov solve on the same matrix).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -363,8 +266,7 @@ impl MatrixDiagnostics {
 /// have ended at the dense rung anyway. Routing therefore reproduces the
 /// escalated solve's solution bit for bit (dense LU ignores the initial
 /// guess and tolerance), just without the dead attempts. Systems the gate
-/// misses still escalate normally and are then covered by the caller's
-/// [`LadderHint`].
+/// misses still escalate normally from rung 0.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiagnosticsGate {
     /// Whether the gate routes at all (default `true`).
@@ -621,10 +523,13 @@ impl SolveLadder {
     /// use (typically a cached ILU(0) factorization); other specs build
     /// their own from `a`. Every candidate solution is checked for finite
     /// entries before being accepted, so NaN-poisoned arithmetic escalates
-    /// instead of propagating. The [`DiagnosticsGate`] still applies (it
-    /// is stateless), but no sticky hint is consulted or updated — use
-    /// [`solve_hinted`](Self::solve_hinted) from call sites that own a
-    /// [`LadderHint`].
+    /// instead of propagating.
+    ///
+    /// The solve is a pure function of its arguments: the only
+    /// starting-rung shortcut is the stateless [`DiagnosticsGate`], which
+    /// sends a numerically singular system straight to the terminal dense
+    /// rung and falls back to the full cascade from rung 0 if that rung
+    /// fails.
     ///
     /// # Errors
     ///
@@ -640,123 +545,19 @@ impl SolveLadder {
         // Output finiteness is guarded per attempt inside the rung loop;
         // here only the system shape is validated.
         assert_eq!(a.rows(), b.len(), "rhs length must match the system");
-        self.solve_inner(a, b, caller, options, None)
-    }
-
-    /// Like [`solve`](Self::solve), but consulting and updating the
-    /// caller's sticky [`LadderHint`]:
-    ///
-    /// * the [`DiagnosticsGate`] is checked first (it is a pure function
-    ///   of the matrix); when it routes, the hint is left untouched;
-    /// * otherwise, a warm hint starts the ladder at its remembered rung;
-    /// * a success on the hinted rung extends the streak (the hint decays
-    ///   back to rung 0 after its configured run of hinted successes);
-    /// * a failure of the hinted starting rung — injected or real —
-    ///   resets the hint and the solve escalates through the full ladder
-    ///   from rung 0;
-    /// * a cold solve that escalates (with no injected faults) sticks the
-    ///   hint to the rung that converged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LadderError`] with the full [`SolveReport`] when every
-    /// rung fails or is inapplicable.
-    pub fn solve_hinted(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-        hint: &mut LadderHint,
-    ) -> Result<LadderSolution, LadderError> {
-        // Output finiteness is guarded per attempt inside the rung loop;
-        // here only the system shape is validated.
-        assert_eq!(a.rows(), b.len(), "rhs length must match the system");
-        self.solve_inner(a, b, caller, options, Some(hint))
-    }
-
-    /// The rung index the diagnostics gate may route to: the last rung,
-    /// provided it is a dense LU that accepts `n` unknowns.
-    fn terminal_dense_rung(&self, n: usize) -> Option<usize> {
-        let (ri, rung) = self.rungs.iter().enumerate().next_back()?;
-        match rung.solver {
-            SolverKind::DenseLu { max_dim } if n <= max_dim => Some(ri),
-            _ => None,
-        }
-    }
-
-    fn solve_inner(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-        mut hint: Option<&mut LadderHint>,
-    ) -> Result<LadderSolution, LadderError> {
         register_metrics();
         let plan = PlanState::current();
         let mut report = SolveReport::default();
 
-        // Starting-rung selection: the stateless diagnostics gate first,
-        // then the caller's sticky hint.
-        let mut start = 0usize;
-        let mut hinted = false;
-        if self.gate.enabled {
-            if let Some(terminal) = self.terminal_dense_rung(a.rows()) {
-                if terminal > 0 && self.gate.routes(&MatrixDiagnostics::measure(a)) {
-                    start = terminal;
-                    M_DIAG_ROUTED.inc();
-                }
-            }
-        }
-        if start == 0 {
-            if let Some(r) = hint.as_deref().and_then(LadderHint::rung) {
-                if r > 0 && r < self.rungs.len() {
-                    start = r;
-                    hinted = true;
-                    M_HINTED.inc();
-                }
+        if let Some(terminal) = self.gate_route(a) {
+            M_DIAG_ROUTED.inc();
+            if let Some(sol) = self.try_rung(terminal, a, b, caller, options, &plan, &mut report) {
+                return Ok(self.finish(sol, terminal, report));
             }
         }
 
-        // Shortcut attempt at the selected rung.
-        if start > 0 {
-            if let Some(sol) = self.try_rung(start, a, b, caller, options, &plan, &mut report) {
-                if hinted {
-                    if let Some(h) = hint.as_deref_mut() {
-                        if h.note_hinted_success() {
-                            M_HINT_RESETS.inc();
-                        }
-                    }
-                }
-                return Ok(self.finish(sol, start, report));
-            }
-            // The shortcut failed (or was skipped): clear a consulted hint
-            // and fall back to the full ladder. The recovery cascade does
-            // not re-stick the hint — the next solve from this site starts
-            // cold again.
-            if hinted {
-                if let Some(h) = hint.as_deref_mut() {
-                    h.reset();
-                    M_HINT_RESETS.inc();
-                }
-            }
-            hint = None;
-        }
-
-        // The full escalation cascade from rung 0 (the only path taken
-        // when neither gate nor hint engaged — bit-identical to the
-        // pre-hint ladder).
         for ri in 0..self.rungs.len() {
             if let Some(sol) = self.try_rung(ri, a, b, caller, options, &plan, &mut report) {
-                if ri > 0 && report.injected_faults() == 0 {
-                    // A natural escalation: remember where it ended so the
-                    // next solve from this site starts there. Fault-forced
-                    // escalations (test harness) do not stick.
-                    if let Some(h) = hint.as_deref_mut() {
-                        h.stick(ri);
-                    }
-                }
                 return Ok(self.finish(sol, ri, report));
             }
         }
@@ -764,6 +565,26 @@ impl SolveLadder {
         M_ATTEMPTS.add(report.tried() as u64);
         M_INJECTED.add(report.injected_faults() as u64);
         Err(LadderError { report })
+    }
+
+    /// The rung the diagnostics gate routes `a` to, if it routes at all:
+    /// the last rung, provided it is a dense LU that accepts `a` and is
+    /// not already rung 0.
+    fn gate_route(&self, a: &CsrMatrix) -> Option<usize> {
+        if !self.gate.enabled {
+            return None;
+        }
+        let (ri, rung) = self.rungs.iter().enumerate().next_back()?;
+        match rung.solver {
+            SolverKind::DenseLu { max_dim }
+                if ri > 0
+                    && a.rows() <= max_dim
+                    && self.gate.routes(&MatrixDiagnostics::measure(a)) =>
+            {
+                Some(ri)
+            }
+            _ => None,
+        }
     }
 
     /// Runs every retry of rung `ri`, recording each attempt (or the skip)
@@ -1346,11 +1167,11 @@ mod tests {
         // Bitwise-identical to what the full escalation cascade produces
         // when forced to the same dense rung (dense LU ignores attempt
         // history, the initial guess and the tolerance).
-        let mut unhinted = SolveLadder::nonsymmetric();
-        unhinted.gate = DiagnosticsGate::disabled();
+        let mut ungated = SolveLadder::nonsymmetric();
+        ungated.gate = DiagnosticsGate::disabled();
         let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
-        let cascade = unhinted
+        let cascade = ungated
             .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
             .unwrap();
         assert_eq!(cascade.stats.rung, 3);
@@ -1395,75 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn hinted_solve_starts_on_the_hinted_rung() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let mut hint = LadderHint::pinned(2);
-        let sol = SolveLadder::nonsymmetric()
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut hint)
-            .unwrap();
-        assert_eq!(sol.stats.rung, 2);
-        assert_eq!(sol.report.tried(), 1);
-        assert_eq!(sol.report.attempts[0].rung, 2);
-        assert!(!sol.report.escalated());
-        assert_eq!(hint.rung(), Some(2));
-        check_close(&a, &sol.solution, &b);
-    }
-
-    #[test]
-    fn hint_decays_after_consecutive_hinted_successes() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let ladder = SolveLadder::nonsymmetric();
-        let mut hint = LadderHint::with_decay(2);
-        hint.stick(1);
-        let opts = SolverOptions::default();
-        let first = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(first.stats.rung, 1);
-        assert_eq!(hint.rung(), Some(1));
-        let second = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(second.stats.rung, 1);
-        // The streak reached the decay threshold: back to rung 0.
-        assert_eq!(hint.rung(), None);
-        let third = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(third.stats.rung, 0);
-    }
-
-    #[test]
-    fn fault_on_hinted_rung_resets_hint_and_escalates_from_rung_zero() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let ladder = SolveLadder::nonsymmetric();
-        let mut hint = LadderHint::pinned(2);
-        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
-        let _scope = fault::inject(&plan);
-        let sol = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut hint)
-            .unwrap();
-        // Attempt 0 is the hinted rung taking the injected fault; the
-        // recovery cascade then starts over at rung 0 and succeeds.
-        assert_eq!(sol.report.attempts[0].rung, 2);
-        assert!(sol.report.attempts[0].injected);
-        assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.report.tried(), 2);
-        assert_eq!(plan.fired(), 1);
-        // The hint is cleared and the recovery does not re-stick it.
-        assert_eq!(hint.rung(), None);
-        check_close(&a, &sol.solution, &b);
-    }
-
-    #[test]
-    fn natural_escalation_sticks_the_hint_faulted_escalation_does_not() {
+    fn starved_budget_escalates_naturally_and_faults_force_the_dense_rung() {
         let a = advection(40, 2.0);
         let b = rhs(40);
         let ladder = SolveLadder::nonsymmetric();
@@ -1477,54 +1230,25 @@ mod tests {
         };
         let plan = FaultPlan::none();
         let scope = fault::inject(&plan);
-        let mut hint = LadderHint::new();
-        let sol = ladder
-            .solve_hinted(&a, &b, &Identity::new(40), &opts, &mut hint)
-            .unwrap();
+        let sol = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
         assert!(sol.stats.rung > 0, "expected a natural escalation");
         assert_eq!(sol.report.injected_faults(), 0);
-        assert_eq!(
-            hint.rung(),
-            Some(sol.stats.rung),
-            "natural escalation must stick"
-        );
-        // The next solve starts straight at the stuck rung.
-        let again = ladder
-            .solve_hinted(&a, &b, &Identity::new(40), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(again.report.tried(), 1);
-        assert_eq!(again.report.attempts[0].rung, sol.stats.rung);
+        // The ladder keeps no memory: the same solve escalates from rung 0
+        // again and ends on the same rung with the same bits.
+        let again = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
+        assert_eq!(again.report.attempts[0].rung, 0);
+        assert_eq!(again.report, sol.report);
+        assert_eq!(again.solution, sol.solution);
         drop(scope);
 
-        // The same escalation forced by injected faults must NOT stick:
-        // the test harness's fault schedule may not reflect the matrix.
-        let mut cold = LadderHint::new();
+        // The same cascade forced by injected faults lands on dense LU.
         let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
         let forced = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &SolverOptions::default(), &mut cold)
+            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
             .unwrap();
         assert_eq!(forced.stats.rung, 3);
-        assert_eq!(cold.rung(), None, "faulted escalation must not stick");
-    }
-
-    #[test]
-    fn solve_and_cold_hinted_solve_are_bitwise_identical() {
-        let a = advection(40, 2.0);
-        let b = rhs(40);
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        let ladder = SolveLadder::nonsymmetric();
-        let opts = SolverOptions::default();
-        let plain = ladder.solve(&a, &b, &Ilu0::new(&a), &opts).unwrap();
-        let mut hint = LadderHint::new();
-        let hinted = ladder
-            .solve_hinted(&a, &b, &Ilu0::new(&a), &opts, &mut hint)
-            .unwrap();
-        assert_eq!(plain.solution, hinted.solution);
-        assert_eq!(plain.stats.rung, hinted.stats.rung);
-        // A rung-0 success is not an escalation, so the hint stays cold.
-        assert_eq!(hint.rung(), None);
+        assert_eq!(forced.report.injected_faults(), 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use coolnet_grid::GridDims;
 use coolnet_obs::LazyCounter;
 use coolnet_sparse::par::{self, RowPartition};
 use coolnet_sparse::precond::Ilu0;
-use coolnet_sparse::{CsrMatrix, LadderHint, SolverOptions, TripletBuilder};
+use coolnet_sparse::{CsrMatrix, SolverOptions, TripletBuilder};
 use coolnet_units::Pascal;
 use std::sync::{Arc, Mutex};
 
@@ -96,11 +96,6 @@ pub(crate) struct ProbeCache {
     last: Option<(f64, Vec<f64>)>,
     /// Next-to-last converged `(p, x)`.
     prev: Option<(f64, Vec<f64>)>,
-    /// Sticky rung memory for this probe sequence: after a natural
-    /// escalation, later probes start at the rung that worked instead of
-    /// burning the rungs below it. Evolves deterministically with the
-    /// probe sequence (cleared together with the solution history).
-    hint: LadderHint,
 }
 
 impl ProbeCache {
@@ -143,7 +138,6 @@ impl ProbeCache {
             refreshed_p: None,
             last: None,
             prev: None,
-            hint: LadderHint::new(),
         }
     }
 
@@ -208,9 +202,6 @@ impl ProbeCache {
     fn reset_history(&mut self) {
         self.last = None;
         self.prev = None;
-        // The rung hint is history too: a recycled cache must replay the
-        // same rung sequence a freshly built one would.
-        self.hint.reset();
     }
 
     /// Records a converged solution for future warm starts.
@@ -332,16 +323,10 @@ impl Assembled {
                 let rhs = self.rhs_at(p_sys.value(), t_inlet);
                 // The ladder's first rung is the historical BiCGSTAB call
                 // with the cached ILU(0); escalation rungs (GMRES, fresh
-                // ILU(0), dense LU) only engage when it fails, and the
-                // cache's sticky hint remembers where an escalation ended
-                // so the next probe starts there.
-                let solution = config.ladder.solve_hinted(
-                    &cache.matrix,
-                    &rhs,
-                    &cache.ilu,
-                    &options,
-                    &mut cache.hint,
-                )?;
+                // ILU(0), dense LU) only engage when it fails.
+                let solution = config
+                    .ladder
+                    .solve(&cache.matrix, &rhs, &cache.ilu, &options)?;
                 cache.record(p_sys.value(), &solution.solution);
                 return Ok(self.extract(solution.solution, solution.stats));
             }

@@ -14,7 +14,6 @@ use coolnet::opt::sa::{anneal_with_stats, SaOptions};
 use coolnet::opt::treeopt::{EvalKind, EvalRequest, RequestScorer};
 use coolnet::prelude::*;
 use coolnet::sparse::resilience::fault::{self, FaultKind, FaultPlan};
-use coolnet::sparse::LadderHint;
 
 fn dims() -> GridDims {
     GridDims::new(11, 11)
@@ -361,56 +360,4 @@ fn runtime_simulation_fault_reports_context_and_partial_trace() {
         assert!(pair[1].time > pair[0].time);
     }
     assert!(err.samples.iter().all(|s| s.t_max.value().is_finite()));
-}
-
-/// A fault on the hinted rung must clear the sticky hint and fall back
-/// to a full cascade from rung 0: the shortcut can never mask a rung
-/// that has started failing, and the recovered answer must match the
-/// unfaulted reference bitwise.
-#[test]
-fn fault_on_hinted_rung_resets_hint_and_recovers() {
-    let net = valid_net();
-    let cfg = FlowConfig::default();
-    let reference = {
-        let _scope = fault::inject(&FaultPlan::none());
-        FlowModel::new(&net, &cfg).unwrap()
-    };
-
-    // Pretend an earlier solve in this width sequence escalated
-    // naturally to rung 2, so the next solve starts there; the injected
-    // breakdown on that hinted attempt resets the hint and re-runs the
-    // ladder from rung 0.
-    let mut hint = LadderHint::pinned(2);
-    let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
-    let scope = fault::inject(&plan);
-    let model = FlowModel::with_widths_hinted(&net, &cfg, None, &mut hint).unwrap();
-    drop(scope);
-
-    let report = model.solve_report();
-    assert_eq!(plan.fired(), 1, "exactly the hinted attempt is faulted");
-    assert_eq!(
-        report.attempts[0].rung, 2,
-        "first attempt is the hinted rung"
-    );
-    assert!(report.attempts[0].injected);
-    assert_eq!(
-        report.succeeded_rung(),
-        Some(0),
-        "cascade restarts from rung 0 after the hinted failure"
-    );
-    assert_eq!(report.tried(), 2);
-    assert_eq!(hint.rung(), None, "the faulted hint is forgotten");
-    assert_eq!(
-        max_abs_diff(model.unit_pressures(), reference.unit_pressures()),
-        0.0,
-        "recovered pressures are bitwise identical to the unfaulted solve"
-    );
-    // The cascade converged without an injected fault at rung 0, so the
-    // hint must not re-stick there (rung 0 is the default start anyway).
-    let clean = fault::inject(&FaultPlan::none());
-    let again = FlowModel::with_widths_hinted(&net, &cfg, None, &mut hint).unwrap();
-    drop(clean);
-    assert_eq!(again.solve_report().succeeded_rung(), Some(0));
-    assert_eq!(again.solve_report().tried(), 1);
-    assert_eq!(hint.rung(), None);
 }
