@@ -123,6 +123,47 @@ impl CellMask {
         self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
 
+    /// The cells of `self` 4-connected through `self` to a cell of `seeds`
+    /// (seed cells outside `self` start nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two masks have different dimensions.
+    pub fn reachable_from(&self, seeds: &CellMask) -> CellMask {
+        assert_eq!(self.dims, seeds.dims, "mask dimension mismatch");
+        let w = usize::from(self.dims.width());
+        let n = self.dims.num_cells();
+        let mut reached = CellMask::new(self.dims);
+        let mut stack: Vec<usize> = Vec::new();
+        for (wi, (&own, &seed)) in self.bits.iter().zip(&seeds.bits).enumerate() {
+            let mut word = own & seed;
+            reached.bits[wi] = word;
+            reached.len += word.count_ones() as usize;
+            while word != 0 {
+                stack.push(wi * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+        while let Some(i) = stack.pop() {
+            let x = i % w;
+            let neighbors = [
+                (x > 0).then(|| i - 1),
+                (x + 1 < w).then_some(i + 1),
+                i.checked_sub(w),
+                Some(i + w).filter(|&j| j < n),
+            ];
+            for j in neighbors.into_iter().flatten() {
+                let bit = 1u64 << (j % 64);
+                if self.bits[j / 64] & bit != 0 && reached.bits[j / 64] & bit == 0 {
+                    reached.bits[j / 64] |= bit;
+                    reached.len += 1;
+                    stack.push(j);
+                }
+            }
+        }
+        reached
+    }
+
     /// Inserts every cell of a rectangle spanning `(x0..=x1, y0..=y1)`.
     ///
     /// # Panics
@@ -219,6 +260,41 @@ mod tests {
         assert!(!a.intersects(&b));
         b.insert(Cell::new(1, 1));
         assert!(a.intersects(&b));
+    }
+
+    #[test]
+    fn reachable_from_stays_in_the_seeded_component() {
+        // Two components: row 0 and row 2 of a 4x3 grid.
+        let dims = GridDims::new(4, 3);
+        let mut m = CellMask::new(dims);
+        m.insert_rect(0, 0, 3, 0);
+        m.insert_rect(0, 2, 3, 2);
+        let mut seeds = CellMask::new(dims);
+        seeds.insert(Cell::new(3, 0));
+        seeds.insert(Cell::new(1, 1)); // outside `m`: starts nothing
+        let reached = m.reachable_from(&seeds);
+        let mut row0 = CellMask::new(dims);
+        row0.insert_rect(0, 0, 3, 0);
+        assert_eq!(reached, row0);
+        assert_eq!(reached.len(), 4);
+        assert!(m.reachable_from(&CellMask::new(dims)).is_empty());
+    }
+
+    #[test]
+    fn reachable_from_does_not_wrap_across_rows() {
+        // (2, 0) and (0, 1) are adjacent in row-major index order only.
+        let dims = GridDims::new(3, 2);
+        let mut m = CellMask::new(dims);
+        m.insert(Cell::new(2, 0));
+        m.insert(Cell::new(0, 1));
+        let mut seeds = CellMask::new(dims);
+        seeds.insert(Cell::new(2, 0));
+        let reached = m.reachable_from(&seeds);
+        assert_eq!(reached.iter().collect::<Vec<_>>(), vec![Cell::new(2, 0)]);
+        seeds = CellMask::new(dims);
+        seeds.insert(Cell::new(0, 1));
+        let reached = m.reachable_from(&seeds);
+        assert_eq!(reached.iter().collect::<Vec<_>>(), vec![Cell::new(0, 1)]);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::error::LegalityError;
 use crate::port::{Port, PortKind};
 use coolnet_grid::{Cell, CellMask, Dir, GridDims};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A legal cooling network: solid/liquid assignment of every basic cell in
 /// a channel layer plus the inlet/outlet manifolds (§2.1 of the paper).
@@ -291,12 +290,14 @@ fn validate(
         return Err(LegalityError::NoLiquidCells);
     }
     // Rule 1: no liquid on TSVs; and no liquid in restricted regions.
-    for cell in liquid.iter() {
-        if tsv.contains(cell) {
-            return Err(LegalityError::LiquidOnTsv { cell });
-        }
-        if restricted.contains(cell) {
-            return Err(LegalityError::LiquidInRestrictedRegion { cell });
+    if liquid.intersects(tsv) || liquid.intersects(restricted) {
+        for cell in liquid.iter() {
+            if tsv.contains(cell) {
+                return Err(LegalityError::LiquidOnTsv { cell });
+            }
+            if restricted.contains(cell) {
+                return Err(LegalityError::LiquidInRestrictedRegion { cell });
+            }
         }
     }
     // Rule 2: ports on edges and within range.
@@ -343,39 +344,30 @@ fn validate(
         }
     }
     // Flow-connectivity: every liquid component must see an inlet and an
-    // outlet. BFS from all wet inlet cells and from all wet outlet cells.
+    // outlet. Flood the liquid from all inlet cells and from all outlet
+    // cells; both reached sets are subsets of the liquid.
     let reach = |kind: PortKind| -> CellMask {
-        let mut seen = CellMask::new(dims);
-        let mut queue: VecDeque<Cell> = VecDeque::new();
+        let mut seeds = CellMask::new(dims);
         for p in ports.iter().filter(|p| p.kind() == kind) {
             for c in p.cells(dims) {
-                if liquid.contains(c) && seen.insert(c) {
-                    queue.push_back(c);
-                }
+                seeds.insert(c);
             }
         }
-        while let Some(c) = queue.pop_front() {
-            for d in Dir::ALL {
-                if let Some(n) = dims.neighbor(c, d) {
-                    if liquid.contains(n) && seen.insert(n) {
-                        queue.push_back(n);
-                    }
-                }
-            }
-        }
-        seen
+        liquid.reachable_from(&seeds)
     };
     let from_inlet = reach(PortKind::Inlet);
     let from_outlet = reach(PortKind::Outlet);
-    for cell in liquid.iter() {
-        let has_inlet = from_inlet.contains(cell);
-        let has_outlet = from_outlet.contains(cell);
-        if !has_inlet || !has_outlet {
-            return Err(LegalityError::DisconnectedComponent {
-                cell,
-                has_inlet,
-                has_outlet,
-            });
+    if from_inlet.len() < liquid.len() || from_outlet.len() < liquid.len() {
+        for cell in liquid.iter() {
+            let has_inlet = from_inlet.contains(cell);
+            let has_outlet = from_outlet.contains(cell);
+            if !has_inlet || !has_outlet {
+                return Err(LegalityError::DisconnectedComponent {
+                    cell,
+                    has_inlet,
+                    has_outlet,
+                });
+            }
         }
     }
     Ok(())

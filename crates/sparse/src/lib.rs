@@ -10,7 +10,8 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with matrix–vector
 //!   products and structural queries;
 //! * [`DenseMatrix`] — small dense matrices with partially pivoted LU,
-//!   used as a reference solver in tests and for tiny systems;
+//!   the reference solver tests compare the ladder's banded direct rung
+//!   against;
 //! * Krylov solvers: [`solve::cg`] (preconditioned conjugate gradients, for
 //!   the symmetric positive definite pressure systems) and
 //!   [`solve::bicgstab`] (for the nonsymmetric advection–diffusion thermal
@@ -49,7 +50,7 @@
 pub mod coo;
 /// Compressed sparse row storage.
 pub mod csr;
-/// Small dense LU solves (reference and fallback path).
+/// Dense LU: the reference solver and the banded direct rescue.
 pub mod dense;
 /// Matrix-vector products and related kernels.
 pub mod ops;

@@ -14,10 +14,15 @@
 //!
 //! * [`SolveLadder::spd`] — for the symmetric positive definite pressure
 //!   systems of Eq. (3): CG first, then ILU(0)-BiCGSTAB, restarted GMRES,
-//!   and finally a dense LU below a size cap;
+//!   and finally a direct LU below a size cap;
 //! * [`SolveLadder::nonsymmetric`] (the [`Default`]) — for the
 //!   advection–diffusion thermal systems of Eq. (6): BiCGSTAB first, then
-//!   GMRES with an escalating restart, then dense LU.
+//!   GMRES with an escalating restart, then the direct LU.
+//!
+//! The terminal direct rung factors the system inside its bandwidth
+//! (`dense::band_solve`): for lower/upper bandwidths `kl`/`ku` it costs
+//! `O(n·kl·(kl+ku))` time and `n·(2·kl+ku+1)` storage, and returns the
+//! result bits of the `n × n` reference [`crate::DenseMatrix::solve`].
 //!
 //! The first rung of each preset reproduces the exact solver call the
 //! models made before the ladder existed, so the no-fault fast path is
@@ -29,6 +34,7 @@
 //! dense fallback — and prove the whole stack degrades gracefully.
 
 use crate::csr::CsrMatrix;
+use crate::dense;
 use crate::ops;
 use crate::precond::{Identity, Ilu0, Jacobi, Preconditioner};
 use crate::solve::{self, Solution, SolveError, SolveStats, SolverOptions};
@@ -82,8 +88,11 @@ fn register_metrics() {
     });
 }
 
-/// Default dimension cap for the terminal dense-LU rung: above this the
-/// O(n³) factorization costs more than declaring the probe infeasible.
+/// Default dimension cap for the terminal dense-LU rung, an upper bound on
+/// the unknown count `n`. The rung factors inside the matrix's bandwidth,
+/// `O(n·kl·(kl+ku))` rather than `O(n³)`; the cap still bounds `n`, not
+/// the band, so a wide-band system near the cap costs close to a full
+/// dense factorization.
 pub const DENSE_FALLBACK_CAP: usize = 4096;
 
 /// Which Krylov (or direct) solver a [`Rung`] runs.
@@ -98,7 +107,8 @@ pub enum SolverKind {
         /// Krylov subspace dimension between restarts (`0` selects 50).
         restart: usize,
     },
-    /// Dense partially pivoted LU; only attempted when the system dimension
+    /// Partially pivoted LU, factored inside the matrix's bandwidth with the
+    /// result bits of a dense LU; only attempted when the system dimension
     /// is at most `max_dim` (the rung is recorded as skipped otherwise).
     DenseLu {
         /// Largest dimension this rung accepts.
@@ -721,7 +731,7 @@ fn run_rung(
         SolverKind::Bicgstab => solve::bicgstab(a, b, m, options),
         SolverKind::Gmres { restart } => solve::gmres(a, b, m, restart, options),
         SolverKind::DenseLu { .. } => {
-            let x = a.to_dense().solve(b)?;
+            let x = dense::band_solve(a, b)?;
             let b_norm = ops::norm2(b);
             let residual = if b_norm > 0.0 {
                 a.residual_norm(&x, b) / b_norm
@@ -914,6 +924,7 @@ mod tests {
     use super::fault::{FaultKind, FaultPlan};
     use super::*;
     use crate::coo::TripletBuilder;
+    use crate::dense::tests::near_singular;
 
     /// Nonsymmetric advection–diffusion matrix (same as solve.rs tests).
     fn advection(n: usize, peclet: f64) -> CsrMatrix {
@@ -1106,22 +1117,6 @@ mod tests {
         assert!(SolverKind::DenseLu { max_dim: 9 }.to_string().contains('9'));
         assert_eq!(SolverKind::Cg.to_string(), "cg");
         assert_eq!(SolverKind::Bicgstab.to_string(), "bicgstab");
-    }
-
-    /// Near-singular conduction-style Laplacian: every row sum is a tiny
-    /// `ε`, so `net_dominance ≈ ε/2` sits far below the gate threshold —
-    /// the shape of the workspace's escalating low-pressure thermal probes.
-    fn near_singular(n: usize) -> CsrMatrix {
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            let neighbors = usize::from(i > 0) + usize::from(i + 1 < n);
-            b.add(i, i, neighbors as f64 + 1e-12);
-            if i + 1 < n {
-                b.add(i, i + 1, -1.0);
-                b.add(i + 1, i, -1.0);
-            }
-        }
-        b.to_csr()
     }
 
     #[test]

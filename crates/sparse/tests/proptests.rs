@@ -5,8 +5,11 @@
 //! zone), then check the algebraic invariants that the rest of the
 //! workspace relies on.
 
-use coolnet_sparse::precond::{Ilu0, Jacobi};
-use coolnet_sparse::{solve, CsrMatrix, SolverOptions, TripletBuilder};
+use coolnet_sparse::precond::{Identity, Ilu0, Jacobi};
+use coolnet_sparse::resilience::{PrecondSpec, RetryPolicy, Rung, SolverKind};
+use coolnet_sparse::{
+    solve, CsrMatrix, DiagnosticsGate, SolveError, SolveLadder, SolverOptions, TripletBuilder,
+};
 use proptest::prelude::*;
 
 /// Random symmetric diagonally dominant matrix plus a dense vector.
@@ -55,7 +58,74 @@ fn nonsym_system(max_n: usize) -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
     })
 }
 
+/// Random square matrix with random lower and upper bandwidths whose
+/// in-band entries are all nonzero (random magnitude and sign), plus RHS.
+fn banded_system(max_n: usize) -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
+    (1..=max_n)
+        .prop_flat_map(|n| (Just(n), 0..n, 0..n))
+        .prop_flat_map(|(n, kl, ku)| {
+            let in_band: usize = (0..n)
+                .map(|i| (i + ku).min(n - 1) + 1 - i.saturating_sub(kl))
+                .sum();
+            let values = proptest::collection::vec((0.1f64..2.0, proptest::bool::ANY), in_band);
+            let rhs = proptest::collection::vec(-10.0f64..10.0, n);
+            (Just((n, kl, ku)), values, rhs)
+        })
+        .prop_map(|((n, kl, ku), values, rhs)| {
+            let mut b = TripletBuilder::new(n, n);
+            let mut next = values.into_iter();
+            for i in 0..n {
+                for j in i.saturating_sub(kl)..=(i + ku).min(n - 1) {
+                    if let Some((v, negative)) = next.next() {
+                        b.add(i, j, if negative { -v } else { v });
+                    }
+                }
+            }
+            (b.to_csr(), rhs)
+        })
+}
+
+/// A ladder whose only rung is the dense rescue.
+fn dense_rung_only() -> SolveLadder {
+    SolveLadder {
+        rungs: vec![Rung::new(
+            SolverKind::DenseLu { max_dim: 4096 },
+            PrecondSpec::Caller,
+        )],
+        policy: RetryPolicy::default(),
+        gate: DiagnosticsGate::disabled(),
+    }
+}
+
 proptest! {
+    #[test]
+    fn dense_rung_matches_dense_lu_bit_for_bit((a, b) in banded_system(80)) {
+        let rung = dense_rung_only().solve(
+            &a,
+            &b,
+            &Identity::new(a.rows()),
+            &SolverOptions::default(),
+        );
+        match (a.to_dense().solve(&b), rung) {
+            (Ok(x), Ok(sol)) => {
+                let got: Vec<u64> = sol.solution.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
+            // A non-finite reference result is rejected by the ladder's guard.
+            (Ok(x), Err(err)) => {
+                prop_assert!(x.iter().any(|v| !v.is_finite()));
+                prop_assert_eq!(err.report.last_error(), Some(&SolveError::NonFinite));
+            }
+            (Err(e), rung) => {
+                prop_assert!(rung.is_err(), "reference failed with {:?}", e);
+                if let Err(err) = rung {
+                    prop_assert_eq!(err.report.last_error(), Some(&e));
+                }
+            }
+        }
+    }
+
     #[test]
     fn csr_matches_dense_matvec((a, x) in nonsym_system(20)) {
         let sparse_y = a.mul_vec(&x);
