@@ -16,9 +16,9 @@
 //! bits the CI smoke step gates on:
 //!
 //! * `all_ok` — every case passed every gated check;
-//! * `all_identical` — re-running the whole sweep at 2 and 4 solver
-//!   threads reproduced the 1-thread corpus fingerprint bit-for-bit
-//!   (`--quick` keeps a 2-thread rerun; it is the point);
+//! * `all_identical` — re-running the whole sweep at the same config
+//!   reproduced the base corpus fingerprint bit-for-bit
+//!   (`replay_fingerprint == fingerprint`);
 //! * `ladder.wasted_attempts` — solve-ladder attempts beyond one per
 //!   solve over the base sweep (expected 0: these systems are SPD and
 //!   must solve on the first rung).
@@ -38,16 +38,6 @@ use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
-
-/// Corpus fingerprint of one whole-sweep replay at a thread count.
-#[derive(Debug, Serialize)]
-struct ThreadFingerprint {
-    /// Solver threads for every thermal solve in the replay.
-    threads: usize,
-    /// Hex FNV-1a digest of the replayed reports (hex so `jq` string
-    /// compares are exact; JSON numbers round above 2^53).
-    fingerprint: String,
-}
 
 /// Solve-ladder escalation accounting over the base sweep.
 #[derive(Debug, Serialize)]
@@ -121,11 +111,12 @@ struct DiffBench {
     all_optimum_ok: bool,
     /// All of the above.
     all_ok: bool,
-    /// Hex corpus fingerprint of the base (1-thread) sweep.
+    /// Hex FNV-1a corpus fingerprint of the base sweep (hex so `jq`
+    /// string compares are exact; JSON numbers round above 2^53).
     fingerprint: String,
-    /// Whole-sweep replays at other solver thread counts.
-    thread_fingerprints: Vec<ThreadFingerprint>,
-    /// Every replay reproduced the base fingerprint bit-for-bit.
+    /// Hex corpus fingerprint of a whole-sweep replay at the same config.
+    replay_fingerprint: String,
+    /// The replay reproduced the base fingerprint bit-for-bit.
     all_identical: bool,
     /// Wall time of the base sweep, seconds.
     wall_s: f64,
@@ -135,7 +126,7 @@ struct DiffBench {
     cache: CacheSummary,
     /// Snapshot of every `coolnet-obs` metric taken right after the base
     /// sweep, so its counters cover the same window as `ladder` and
-    /// `cache` (the thread replays are not counted).
+    /// `cache` (the replay is not counted).
     metrics: MetricsSnapshot,
     /// Per-case differential reports.
     cases: Vec<CaseReport>,
@@ -231,28 +222,8 @@ fn main() {
     let base_fp = fingerprint(&reports);
     println!("  base sweep: {:.1} s, fingerprint {base_fp:016x}", wall_s);
 
-    let sweep_threads: &[usize] = if quick { &[2] } else { &[2, 4] };
-    let thread_fingerprints: Vec<ThreadFingerprint> = sweep_threads
-        .iter()
-        .map(|&threads| {
-            let fp = fingerprint(&sweep(
-                &specs,
-                &DiffConfig {
-                    solver_threads: threads,
-                    ..cfg.clone()
-                },
-            ));
-            println!("  {threads}-thread replay: fingerprint {fp:016x}");
-            ThreadFingerprint {
-                threads,
-                fingerprint: format!("{fp:016x}"),
-            }
-        })
-        .collect();
-    let base_hex = format!("{base_fp:016x}");
-    let all_identical = thread_fingerprints
-        .iter()
-        .all(|t| t.fingerprint == base_hex);
+    let replay_fp = fingerprint(&sweep(&specs, &cfg));
+    println!("  replay: fingerprint {replay_fp:016x}");
 
     let artifact = DiffBench {
         quick,
@@ -266,9 +237,9 @@ fn main() {
             .all(|r| r.serde_roundtrip_ok && r.file_roundtrip_ok),
         all_optimum_ok: reports.iter().all(|r| r.optimum.ok),
         all_ok: reports.iter().all(CaseReport::all_ok),
-        fingerprint: base_hex,
-        thread_fingerprints,
-        all_identical,
+        fingerprint: format!("{base_fp:016x}"),
+        replay_fingerprint: format!("{replay_fp:016x}"),
+        all_identical: replay_fp == base_fp,
         wall_s,
         ladder: LadderSummary::delta(&after, &before),
         cache: CacheSummary::delta(&after, &before),
@@ -281,5 +252,5 @@ fn main() {
     );
     write_json(&opts.out_path("BENCH_diff.json"), &artifact);
     assert!(artifact.all_ok, "differential gates failed");
-    assert!(artifact.all_identical, "thread replay diverged");
+    assert!(artifact.all_identical, "replay diverged");
 }

@@ -1,6 +1,7 @@
-//! Probe-path benchmark: probes/sec and solver iterations for the three
-//! `steady()` configurations — cold rebuild, cached numeric reassembly,
-//! and cached reassembly with parallel sparse kernels.
+//! Probe-path benchmark: probes/sec and solver iterations for the two
+//! steady-solve paths — the cold-rebuild reference
+//! (`FourRm::simulate_reference`) and cached numeric reassembly
+//! (`FourRm::simulate_with_guess`).
 //!
 //! ```sh
 //! cargo run --release -p coolnet-bench --bin probe_bench
@@ -29,12 +30,9 @@ use std::time::Instant;
 /// One measured configuration of the probe path.
 #[derive(Debug, Serialize)]
 struct ConfigResult {
-    /// Configuration name (`cold`, `cached`, `cached_par4`).
+    /// Configuration name: `cold` (every probe rebuilds assembly and
+    /// ILU(0) from scratch) or `cached`.
     name: String,
-    /// Threads handed to the sparse kernels (1 = serial).
-    solver_threads: usize,
-    /// Whether every probe rebuilt assembly and ILU(0) from scratch.
-    cold_rebuild: bool,
     /// Total probes timed.
     probes: usize,
     /// Wall time for all probes, seconds.
@@ -72,8 +70,7 @@ struct ProbeBench {
     dies: usize,
     /// Unknowns in the 4RM system.
     unknowns: usize,
-    /// Hardware threads on the measurement host (requested solver threads
-    /// are clamped to this by the kernels).
+    /// Hardware threads on the measurement host.
     host_threads: usize,
     /// Pressure ladder, kPa (each repeated `reps` times).
     pressures_kpa: Vec<f64>,
@@ -83,8 +80,6 @@ struct ProbeBench {
     configs: Vec<ConfigResult>,
     /// probes/sec of `cached` over `cold`.
     speedup_cached: f64,
-    /// probes/sec of `cached_par4` over `cold` (the acceptance number).
-    speedup_cached_par4: f64,
     /// Whether the metrics layer was enabled for this run (`false` under
     /// `--no-metrics`, which zeroes the solver statistics).
     metrics_enabled: bool,
@@ -99,19 +94,28 @@ fn ladder(lo_kpa: f64, hi_kpa: f64, steps: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Runs `reps` warm-started sweeps of the ladder and times them.
+/// Runs `reps` warm-started sweeps of the ladder and times them, through
+/// the cold-rebuild reference path when `cold` is set and through the
+/// probe cache otherwise.
 fn measure(
     stack: &Stack,
-    config: &ThermalConfig,
-    name: &str,
+    cold: bool,
     pressures_kpa: &[f64],
     reps: usize,
 ) -> Result<ConfigResult, ThermalError> {
-    let sim = FourRm::new(stack, config)?;
+    let sim = FourRm::new(stack, &ThermalConfig::default())?;
+    let probe = |kpa: f64, guess: Option<&ThermalSolution>| {
+        let p = Pascal::from_kilopascals(kpa);
+        match (cold, guess) {
+            (true, _) => sim.simulate_reference(p, guess),
+            (false, Some(g)) => sim.simulate_with_guess(p, g),
+            (false, None) => sim.simulate(p),
+        }
+    };
     // Untimed warm-up probe: first-touch cache construction and symbolic
     // ILU(0) belong to `new()` conceptually, and every configuration pays
     // the same first solve from a flat initial guess.
-    let mut prev = sim.simulate(Pascal::from_kilopascals(pressures_kpa[0]))?;
+    let mut prev = probe(pressures_kpa[0], None)?;
 
     // The obs counters are process-global; delta-ing snapshots around the
     // timed loop scopes them to exactly these `reps × len` probes. Both
@@ -120,7 +124,7 @@ fn measure(
     let start = Instant::now();
     for _ in 0..reps {
         for &kpa in pressures_kpa {
-            prev = sim.simulate_with_guess(Pascal::from_kilopascals(kpa), &prev)?;
+            prev = probe(kpa, Some(&prev))?;
         }
     }
     let elapsed_s = start.elapsed().as_secs_f64();
@@ -132,9 +136,7 @@ fn measure(
     let escalations = after.counter_delta(&before, "ladder.escalations");
     let solves = after.counter_delta(&before, "ladder.solves");
     let result = ConfigResult {
-        name: name.to_owned(),
-        solver_threads: config.solver_threads,
-        cold_rebuild: config.cold_rebuild,
+        name: if cold { "cold" } else { "cached" }.to_owned(),
         probes,
         elapsed_s,
         probes_per_sec: probes as f64 / elapsed_s,
@@ -206,28 +208,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         opts.grid
     );
 
-    let base = ThermalConfig::default();
-    let cold = ThermalConfig {
-        cold_rebuild: true,
-        ..base.clone()
-    };
-    let cached = ThermalConfig {
-        solver_threads: 1,
-        ..base.clone()
-    };
-    let cached_par4 = ThermalConfig {
-        solver_threads: 4,
-        ..base
-    };
-
     let configs = vec![
-        measure(&stack, &cold, "cold", &pressures_kpa, reps)?,
-        measure(&stack, &cached, "cached", &pressures_kpa, reps)?,
-        measure(&stack, &cached_par4, "cached_par4", &pressures_kpa, reps)?,
+        measure(&stack, true, &pressures_kpa, reps)?,
+        measure(&stack, false, &pressures_kpa, reps)?,
     ];
     let speedup_cached = configs[1].probes_per_sec / configs[0].probes_per_sec;
-    let speedup_cached_par4 = configs[2].probes_per_sec / configs[0].probes_per_sec;
-    println!("speedup: cached {speedup_cached:.2}x, cached_par4 {speedup_cached_par4:.2}x");
+    println!("speedup: cached {speedup_cached:.2}x");
 
     let artifact = ProbeBench {
         case: 2,
@@ -239,7 +225,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reps,
         configs,
         speedup_cached,
-        speedup_cached_par4,
         metrics_enabled,
         metrics: coolnet_obs::snapshot(),
     };

@@ -11,12 +11,9 @@
 //! Writes `BENCH_scenario.json` into `--out` (default `target/experiments`).
 //! Per preset the artifact records the summary scores (peak `T_max`, peak
 //! `ΔT`, peak per-die thermal-stress proxy, pumping energy), the trace
-//! fingerprint, and two contract bits the CI smoke step gates on:
-//!
-//! * `replay_identical` — a second run at 1 solver thread produced a
-//!   bit-identical trace (fingerprint match);
-//! * `threads_identical` — runs at 2 and 4 solver threads matched the
-//!   1-thread fingerprint (`--quick` keeps the sweep; it is the point).
+//! fingerprint, and the contract bit the CI smoke step gates on:
+//! `replay_identical`, set when a second run produced a bit-identical
+//! trace (fingerprint match).
 //!
 //! `--quick` shrinks the grid so the smoke step stays fast; the committed
 //! artifact at the repo root comes from a default-scale (41×41) run.
@@ -51,10 +48,8 @@ struct ScenarioResult {
     /// FNV-1a digest of the trace's IEEE-754 bit patterns, as 16 hex
     /// digits (a JSON number above 2^53 would be rounded by readers).
     fingerprint: String,
-    /// A repeat run at 1 solver thread was bit-identical.
+    /// A repeat run was bit-identical.
     replay_identical: bool,
-    /// Runs at 2 and 4 solver threads matched the 1-thread fingerprint.
-    threads_identical: bool,
 }
 
 /// The artifact: enough context to compare runs across commits.
@@ -68,24 +63,15 @@ struct ScenarioBench {
     host_threads: usize,
     /// Per-preset results.
     scenarios: Vec<ScenarioResult>,
-    /// Every preset's replay and thread sweeps were bit-identical.
+    /// Every preset's replay was bit-identical.
     all_identical: bool,
     /// End-of-run snapshot of every `coolnet-obs` counter and histogram
     /// touched by the benchmark process.
     metrics: MetricsSnapshot,
 }
 
-fn run_at(
-    bench: &Benchmark,
-    net: &CoolingNetwork,
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> ScenarioTrace {
-    let thermal = ThermalConfig {
-        solver_threads: threads,
-        ..ThermalConfig::default()
-    };
-    match run_scenario(bench, net, spec, &thermal) {
+fn run(bench: &Benchmark, net: &CoolingNetwork, spec: &ScenarioSpec) -> ScenarioTrace {
+    match run_scenario(bench, net, spec, &ThermalConfig::default()) {
         Ok(t) => t,
         Err(e) => panic!("preset {} failed: {e}", spec.name),
     }
@@ -112,13 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scenarios = Vec::new();
     for spec in &presets {
         let start = Instant::now();
-        let trace = run_at(&bench, &net, spec, 1);
+        let trace = run(&bench, &net, spec);
         let wall_s = start.elapsed().as_secs_f64();
         let fingerprint = trace.fingerprint();
-        let replay_identical = run_at(&bench, &net, spec, 1).fingerprint() == fingerprint;
-        let threads_identical = [2usize, 4]
-            .iter()
-            .all(|&t| run_at(&bench, &net, spec, t).fingerprint() == fingerprint);
+        let replay_identical = run(&bench, &net, spec).fingerprint() == fingerprint;
         let r = ScenarioResult {
             name: spec.name.clone(),
             intervals: trace.intervals.len(),
@@ -130,11 +113,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             wall_s,
             fingerprint: format!("{fingerprint:016x}"),
             replay_identical,
-            threads_identical,
         };
         println!(
             "  {:22} {:2} intervals: T_max {:7.2} K, dT {:6.2} K, stress {:6.2} K, \
-             E_pump {:8.4} mJ, replay {}, threads {}",
+             E_pump {:8.4} mJ, replay {}",
             r.name,
             r.intervals,
             r.peak_t_max,
@@ -142,14 +124,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.peak_stress,
             r.pumping_energy * 1e3,
             r.replay_identical,
-            r.threads_identical,
         );
         scenarios.push(r);
     }
 
-    let all_identical = scenarios
-        .iter()
-        .all(|s| s.replay_identical && s.threads_identical);
+    let all_identical = scenarios.iter().all(|s| s.replay_identical);
     println!("all presets replay bit-identically: {all_identical}");
 
     let artifact = ScenarioBench {

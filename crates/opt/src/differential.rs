@@ -89,8 +89,6 @@ pub struct DiffConfig {
     /// `ΔT_fine(p_coarse) ≤ (1 + dt_slack) · ΔT*` — i.e. the coarse
     /// model's design decision transfers to the fine model within slack.
     pub dt_slack: f64,
-    /// Solver threads for every thermal simulation in the sweep.
-    pub solver_threads: usize,
     /// Budgeted options for the two Algorithm 3 runs.
     pub psearch: PressureSearchOptions,
 }
@@ -99,8 +97,8 @@ impl Default for DiffConfig {
     /// Coarsenings 2 and 4, a 5 kPa reference pressure, a 25%
     /// rise-relative agreement gate, solver-precision (1 ppm) analytic
     /// gate, 35% optimum-pressure gate over a 500 Pa floor, a 1 MPa
-    /// envelope cap, 15% ΔT transfer slack, 1 solver thread, and a
-    /// reduced probe budget (2% tolerance, 40 probes) per search.
+    /// envelope cap, 15% ΔT transfer slack, and a reduced probe budget
+    /// (2% tolerance, 40 probes) per search.
     fn default() -> Self {
         Self {
             coarsenings: vec![2, 4],
@@ -111,7 +109,6 @@ impl Default for DiffConfig {
             p_floor: 500.0,
             p_cap: 1.0e6,
             dt_slack: 0.15,
-            solver_threads: 1,
             psearch: PressureSearchOptions {
                 rel_tol: 0.02,
                 max_probes: 40,
@@ -224,10 +221,7 @@ pub fn run_case(spec: &CaseSpec, cfg: &DiffConfig) -> Result<CaseReport, Thermal
         reason: format!("straight builder on {}: {e}", spec.name),
     })?;
     let stack = bench.stack_with(&[net])?;
-    let config = ThermalConfig {
-        solver_threads: cfg.solver_threads,
-        ..ThermalConfig::default()
-    };
+    let config = ThermalConfig::default();
 
     let fine = FourRm::new(&stack, &config)?;
     let reference = fine.simulate(cfg.p_ref)?;
@@ -412,7 +406,7 @@ fn file_roundtrip(bench: &Benchmark) -> bool {
 
 /// Order-sensitive FNV-1a digest of a report slice. Two sweeps producing
 /// the same reports in the same order share a fingerprint; any numeric
-/// drift (solver threads, dependency bumps, reordered cases) changes it.
+/// drift (dependency bumps, reordered cases) changes it.
 pub fn fingerprint(reports: &[CaseReport]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fn eat(h: &mut u64, bits: u64) {
@@ -487,23 +481,5 @@ mod tests {
         let mut tweaked = a.clone();
         tweaked.analytic_rel_error += 1e-12;
         assert_ne!(fingerprint(&[tweaked]), one);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_report() {
-        let spec = small_spec();
-        let base = run_case(&spec, &DiffConfig::default()).expect("run_case");
-        for threads in [2usize, 4] {
-            let cfg = DiffConfig {
-                solver_threads: threads,
-                ..DiffConfig::default()
-            };
-            let r = run_case(&spec, &cfg).expect("run_case");
-            assert_eq!(
-                fingerprint(std::slice::from_ref(&base)),
-                fingerprint(&[r]),
-                "threads = {threads}"
-            );
-        }
     }
 }

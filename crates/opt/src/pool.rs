@@ -37,6 +37,14 @@ static M_LOST_WORKERS: LazyCounter = LazyCounter::new("sa.pool_lost_workers");
 
 type Task = Box<dyn FnOnce() + Send>;
 
+/// Caps a requested worker count at the host's available parallelism (a
+/// request of `0` gets one worker): evaluations are CPU-bound, so more
+/// workers than hardware threads only add scheduling overhead.
+fn effective_workers(requested: usize) -> usize {
+    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    requested.clamp(1, hw)
+}
+
 /// A persistent pool of evaluation worker threads; dropping it joins them.
 pub struct Pool {
     /// `None` only while dropping: closing the channel ends the workers.
@@ -121,7 +129,7 @@ impl Pool {
     /// [`TreeSearch`](crate::treeopt::TreeSearch) build their pools here;
     /// a service's pool size is a deployment setting and uses [`Pool::new`].
     pub fn for_run(requested: usize) -> Self {
-        Self::new(coolnet_sparse::par::effective_workers(requested))
+        Self::new(effective_workers(requested))
     }
 
     /// Number of worker threads (`0` if none could be spawned; batches

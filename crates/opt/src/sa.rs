@@ -573,7 +573,7 @@ mod tests {
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
         assert_eq!(Pool::for_run(hw + 1).threads(), hw);
         let pool = Pool::for_run(4);
-        assert_eq!(pool.threads(), coolnet_sparse::par::effective_workers(4));
+        assert_eq!(pool.threads(), 4.min(hw));
         let cost = Arc::new(|x: &i64| (*x * 3) as f64);
         for batch in [0i64, 1, 17, 33] {
             let (out, failures) = score_costs(&pool, (0..batch).collect(), &cost);

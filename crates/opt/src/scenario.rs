@@ -21,10 +21,11 @@
 //! ([`Transient::set_power_map`], [`Transient::set_inlet_temperature`]),
 //! never paying a reassembly for them.
 //!
-//! Everything is deterministic: no clocks, no RNG. A spec replayed with
-//! the same thermal configuration produces a bit-identical trace
-//! (compare [`ScenarioTrace::fingerprint`]), independent of the host and
-//! of `solver_threads` (see `tests/scenario_determinism.rs`).
+//! Everything is deterministic: no clocks, no RNG, and every solve runs
+//! on the calling thread. A spec replayed with the same thermal
+//! configuration produces a bit-identical trace (compare
+//! [`ScenarioTrace::fingerprint`]), independent of the host (see
+//! `tests/scenario_determinism.rs`).
 //!
 //! [`Transient::set_power_map`]: coolnet_thermal::transient::Transient::set_power_map
 //! [`Transient::set_inlet_temperature`]: coolnet_thermal::transient::Transient::set_inlet_temperature
@@ -106,10 +107,9 @@ pub struct ScenarioEvent {
 /// horizon, under closed-loop flow control.
 ///
 /// The spec deliberately excludes the numerical substrate
-/// ([`ThermalConfig`]: solver ladder, threads, tolerance, baseline inlet
+/// ([`ThermalConfig`]: solver ladder, tolerance, baseline inlet
 /// temperature) — that is [`run_scenario`]'s parameter, so the *same*
-/// serialized scenario can be replayed at different solver-thread counts
-/// and must produce a bit-identical [`ScenarioTrace`].
+/// serialized scenario can be replayed under different solver settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Scenario name (artifact key; `kebab-case` by convention).
@@ -547,14 +547,14 @@ impl std::error::Error for ScenarioError {
 }
 
 /// Executes `spec` against one cooling system under the numerical
-/// substrate `thermal` (solver ladder, `solver_threads`, tolerance and
-/// the baseline inlet temperature events move away from).
+/// substrate `thermal` (solver ladder, tolerance and the baseline inlet
+/// temperature events move away from).
 ///
 /// Deterministic by construction: the trace depends only on
 /// `(bench, network, spec, thermal)` — never on the host, wall clock or
-/// thread scheduling — and is bit-identical across `solver_threads`
-/// values (the row-partitioned kernels keep per-row accumulation order
-/// fixed; see `tests/scenario_determinism.rs`).
+/// thread scheduling, since every solve runs serially on the calling
+/// thread — so a replay is bit-identical (see
+/// `tests/scenario_determinism.rs`).
 ///
 /// # Errors
 ///

@@ -54,8 +54,6 @@ pub mod csr;
 pub mod dense;
 /// Matrix-vector products and related kernels.
 pub mod ops;
-/// Row-partitioned parallel SpMV and blocked dense kernels.
-pub mod par;
 /// ILU(0) and Jacobi preconditioners.
 pub mod precond;
 /// Escalation-ladder solver resilience and fault injection.

@@ -131,22 +131,24 @@ impl Ilu0 {
         let n = a.rows();
 
         // Copy A's pattern, inserting an explicit diagonal if absent, and
-        // record where each of A's stored entries lands in the factor.
+        // record where each of A's stored entries and each row's diagonal
+        // land in the factor.
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx: Vec<u32> = Vec::new();
         let mut a_slot = Vec::with_capacity(a.nnz());
+        let mut diag_pos = Vec::with_capacity(n);
         row_ptr.push(0);
         for r in 0..n {
             let (cols, _) = a.row(r);
-            let mut has_diag = false;
+            let mut diag = None;
             for &c in cols {
                 if c as usize == r {
-                    has_diag = true;
+                    diag = Some(col_idx.len());
                 }
                 a_slot.push(col_idx.len());
                 col_idx.push(c);
             }
-            if !has_diag {
+            let diag = diag.unwrap_or_else(|| {
                 // Insert zero diagonal keeping the row sorted, shifting the
                 // slot map for this row's entries past the insertion point.
                 let lo = row_ptr[r];
@@ -162,18 +164,10 @@ impl Ilu0 {
                     }
                     *s += 1;
                 }
-            }
+                insert_at
+            });
+            diag_pos.push(diag);
             row_ptr.push(col_idx.len());
-        }
-
-        let mut diag_pos = vec![0usize; n];
-        for r in 0..n {
-            let lo = row_ptr[r];
-            let hi = row_ptr[r + 1];
-            diag_pos[r] = lo
-                + col_idx[lo..hi]
-                    .binary_search(&(r as u32))
-                    .expect("diagonal entry must exist after insertion");
         }
 
         let nnz = col_idx.len();
@@ -334,12 +328,15 @@ mod tests {
     #[test]
     fn ilu0_handles_missing_diagonal() {
         // Row 1 has no stored diagonal; construction must not panic and the
-        // preconditioner must stay finite.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]);
+        // preconditioner must stay finite. With the inserted diagonal the
+        // pattern is full, so ILU(0) is the exact LU and applying it solves
+        // A·z = r exactly: z = (1, -1).
+        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0)]);
         let p = Ilu0::new(&a);
         let mut z = vec![0.0; 2];
         p.apply(&[1.0, 1.0], &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
+        assert_eq!(z, [1.0, -1.0]);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Krylov solvers: preconditioned CG and BiCGSTAB.
 
 use crate::csr::CsrMatrix;
-use crate::ops::xpby;
-use crate::par::{self, RowPartition};
+use crate::ops::{axpy, dot, norm2, xpby};
 use crate::precond::Preconditioner;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Error returned by the linear solvers in this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,26 +81,15 @@ pub struct SolverOptions {
     pub max_iterations: usize,
     /// Optional initial guess (must match the system dimension if set).
     pub initial_guess: Option<Vec<f64>>,
-    /// Worker threads for the sparse/dense kernels; `0` or `1` is serial.
-    /// Small systems stay serial regardless (see [`par::MIN_PAR_NNZ`]).
-    pub threads: usize,
-    /// Precomputed row partition for the system matrix. Callers that solve
-    /// the same sparsity pattern repeatedly (the probe loop) compute this
-    /// once via [`RowPartition::new`] and share it; if absent or the wrong
-    /// shape, the solver derives one from `threads` per call.
-    pub partition: Option<Arc<RowPartition>>,
 }
 
 impl Default for SolverOptions {
-    /// `tolerance = 1e-10`, automatic iteration cap, zero initial guess,
-    /// serial kernels.
+    /// `tolerance = 1e-10`, automatic iteration cap, zero initial guess.
     fn default() -> Self {
         Self {
             tolerance: 1e-10,
             max_iterations: 0,
             initial_guess: None,
-            threads: 1,
-            partition: None,
         }
     }
 }
@@ -121,21 +108,6 @@ impl SolverOptions {
             (4 * n).max(100)
         } else {
             self.max_iterations
-        }
-    }
-
-    /// Effective worker-thread count: at least 1, at most the host's
-    /// available parallelism.
-    fn thread_count(&self) -> usize {
-        par::effective_workers(self.threads)
-    }
-
-    /// The partition to use for `a`: the cached one when it matches,
-    /// otherwise one derived from `threads`.
-    fn resolve_partition(&self, a: &CsrMatrix) -> Arc<RowPartition> {
-        match &self.partition {
-            Some(p) if p.rows() == a.rows() => Arc::clone(p),
-            _ => Arc::new(RowPartition::new(a, self.thread_count())),
         }
     }
 
@@ -207,20 +179,18 @@ pub fn cg(
     options: &SolverOptions,
 ) -> Result<Solution, SolveError> {
     let n = check_square(a, b)?;
-    let nt = options.thread_count();
-    let b_norm = par::norm2(b, nt);
+    let b_norm = norm2(b);
     if b_norm == 0.0 {
         return Ok(Solution {
             solution: vec![0.0; n],
             stats: SolveStats::default(),
         });
     }
-    let part = options.resolve_partition(a);
 
     let mut x = options.guess(n)?;
     let mut r = b.to_vec();
     let mut ax = vec![0.0; n];
-    par::spmv(a, &x, &mut ax, &part);
+    a.mul_vec_into(&x, &mut ax);
     for (ri, axi) in r.iter_mut().zip(&ax) {
         *ri -= axi;
     }
@@ -228,11 +198,11 @@ pub fn cg(
     let mut z = vec![0.0; n];
     m.apply(&r, &mut z);
     let mut p = z.clone();
-    let mut rz = par::dot(&r, &z, nt);
+    let mut rz = dot(&r, &z);
     let max_iter = options.cap(n);
 
     for it in 0..max_iter {
-        let res = par::norm2(&r, nt) / b_norm;
+        let res = norm2(&r) / b_norm;
         if res <= options.tolerance {
             return Ok(Solution {
                 solution: x,
@@ -243,22 +213,22 @@ pub fn cg(
                 },
             });
         }
-        par::spmv(a, &p, &mut ax, &part);
-        let pap = par::dot(&p, &ax, nt);
+        a.mul_vec_into(&p, &mut ax);
+        let pap = dot(&p, &ax);
         if pap.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
         let alpha = rz / pap;
-        par::axpy(alpha, &p, &mut x, nt);
-        par::axpy(-alpha, &ax, &mut r, nt);
+        axpy(alpha, &p, &mut x);
+        axpy(-alpha, &ax, &mut r);
         m.apply(&r, &mut z);
-        let rz_next = par::dot(&r, &z, nt);
+        let rz_next = dot(&r, &z);
         let beta = rz_next / rz;
         rz = rz_next;
         xpby(&z, beta, &mut p);
     }
 
-    let res = par::norm2(&r, nt) / b_norm;
+    let res = norm2(&r) / b_norm;
     if res <= options.tolerance {
         Ok(Solution {
             solution: x,
@@ -289,20 +259,18 @@ pub fn bicgstab(
     options: &SolverOptions,
 ) -> Result<Solution, SolveError> {
     let n = check_square(a, b)?;
-    let nt = options.thread_count();
-    let b_norm = par::norm2(b, nt);
+    let b_norm = norm2(b);
     if b_norm == 0.0 {
         return Ok(Solution {
             solution: vec![0.0; n],
             stats: SolveStats::default(),
         });
     }
-    let part = options.resolve_partition(a);
 
     let mut x = options.guess(n)?;
     let mut r = b.to_vec();
     let mut tmp = vec![0.0; n];
-    par::spmv(a, &x, &mut tmp, &part);
+    a.mul_vec_into(&x, &mut tmp);
     for (ri, ti) in r.iter_mut().zip(&tmp) {
         *ri -= ti;
     }
@@ -319,16 +287,16 @@ pub fn bicgstab(
     let max_iter = options.cap(n);
 
     for it in 0..max_iter {
-        let res = par::norm2(&r, nt) / b_norm;
+        let res = norm2(&r) / b_norm;
         if res <= options.tolerance {
             // The recursive residual can drift from the true residual; verify
             // before declaring victory, and keep iterating on the *true*
             // residual if it disagrees.
-            par::spmv(a, &x, &mut tmp, &part);
+            a.mul_vec_into(&x, &mut tmp);
             for ((ri, bi), ti) in r.iter_mut().zip(b).zip(&tmp) {
                 *ri = bi - ti;
             }
-            let true_res = par::norm2(&r, nt) / b_norm;
+            let true_res = norm2(&r) / b_norm;
             if true_res <= options.tolerance * 10.0 {
                 return Ok(Solution {
                     solution: x,
@@ -340,7 +308,7 @@ pub fn bicgstab(
                 });
             }
         }
-        let rho_next = par::dot(&r0, &r, nt);
+        let rho_next = dot(&r0, &r);
         if rho_next.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
@@ -351,19 +319,19 @@ pub fn bicgstab(
             p[i] = r[i] + beta * (p[i] - omega * v[i]);
         }
         m.apply(&p, &mut p_hat);
-        par::spmv(a, &p_hat, &mut v, &part);
-        let r0v = par::dot(&r0, &v, nt);
+        a.mul_vec_into(&p_hat, &mut v);
+        let r0v = dot(&r0, &v);
         if r0v.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
         alpha = rho / r0v;
         // s = r - alpha * v (reuse r as s)
-        par::axpy(-alpha, &v, &mut r, nt);
-        if par::norm2(&r, nt) / b_norm <= options.tolerance {
+        axpy(-alpha, &v, &mut r);
+        if norm2(&r) / b_norm <= options.tolerance {
             // Early exit on the half-step. Verify with the true residual; if
             // it disagrees (recursive-residual drift), undo and continue.
-            par::axpy(alpha, &p_hat, &mut x, nt);
-            par::spmv(a, &x, &mut tmp, &part);
+            axpy(alpha, &p_hat, &mut x);
+            a.mul_vec_into(&x, &mut tmp);
             let mut true_sq = 0.0;
             for (bi, ti) in b.iter().zip(&tmp) {
                 true_sq += (bi - ti) * (bi - ti);
@@ -379,25 +347,25 @@ pub fn bicgstab(
                     },
                 });
             }
-            par::axpy(-alpha, &p_hat, &mut x, nt);
+            axpy(-alpha, &p_hat, &mut x);
         }
         m.apply(&r, &mut s_hat);
-        par::spmv(a, &s_hat, &mut t, &part);
-        let tt = par::dot(&t, &t, nt);
+        a.mul_vec_into(&s_hat, &mut t);
+        let tt = dot(&t, &t);
         if tt.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
-        omega = par::dot(&t, &r, nt) / tt;
-        par::axpy(alpha, &p_hat, &mut x, nt);
-        par::axpy(omega, &s_hat, &mut x, nt);
+        omega = dot(&t, &r) / tt;
+        axpy(alpha, &p_hat, &mut x);
+        axpy(omega, &s_hat, &mut x);
         // r = s - omega * t
-        par::axpy(-omega, &t, &mut r, nt);
+        axpy(-omega, &t, &mut r);
         if omega.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
     }
 
-    let res = par::norm2(&r, nt) / b_norm;
+    let res = norm2(&r) / b_norm;
     if res <= options.tolerance {
         Ok(Solution {
             solution: x,
@@ -433,15 +401,13 @@ pub fn gmres(
     options: &SolverOptions,
 ) -> Result<Solution, SolveError> {
     let n = check_square(a, b)?;
-    let nt = options.thread_count();
-    let b_norm = par::norm2(b, nt);
+    let b_norm = norm2(b);
     if b_norm == 0.0 {
         return Ok(Solution {
             solution: vec![0.0; n],
             stats: SolveStats::default(),
         });
     }
-    let part = options.resolve_partition(a);
     let restart = if restart == 0 { 50 } else { restart }.min(n);
     let max_outer = (options.cap(n) / restart).max(4);
     let mut x = options.guess(n)?;
@@ -451,12 +417,12 @@ pub fn gmres(
 
     for _outer in 0..max_outer {
         // True residual.
-        par::spmv(a, &x, &mut tmp, &part);
+        a.mul_vec_into(&x, &mut tmp);
         let mut r = vec![0.0; n];
         for i in 0..n {
             r[i] = b[i] - tmp[i];
         }
-        let true_res = par::norm2(&r, nt) / b_norm;
+        let true_res = norm2(&r) / b_norm;
         if true_res <= options.tolerance {
             return Ok(Solution {
                 solution: x,
@@ -469,7 +435,7 @@ pub fn gmres(
         }
         // Preconditioned residual seeds the Krylov basis.
         m.apply(&r, &mut z);
-        let beta = par::norm2(&z, nt);
+        let beta = norm2(&z);
         if beta < 1e-300 {
             return Err(SolveError::Breakdown {
                 iterations: total_inner,
@@ -487,16 +453,16 @@ pub fn gmres(
 
         for j in 0..restart {
             total_inner += 1;
-            par::spmv(a, &basis[j], &mut tmp, &part);
+            a.mul_vec_into(&basis[j], &mut tmp);
             m.apply(&tmp, &mut z);
             let mut col = vec![0.0; j + 2];
             let mut w = z.clone();
             for (i, vi) in basis.iter().enumerate().take(j + 1) {
-                let hij = par::dot(&w, vi, nt);
+                let hij = dot(&w, vi);
                 col[i] = hij;
-                par::axpy(-hij, vi, &mut w, nt);
+                axpy(-hij, vi, &mut w);
             }
-            let wn = par::norm2(&w, nt);
+            let wn = norm2(&w);
             col[j + 1] = wn;
             // Apply accumulated Givens rotations to the new column.
             for i in 0..j {
@@ -539,16 +505,16 @@ pub fn gmres(
             y[i] = acc / h[i][i];
         }
         for (j, yj) in y.iter().enumerate() {
-            par::axpy(*yj, &basis[j], &mut x, nt);
+            axpy(*yj, &basis[j], &mut x);
         }
     }
 
-    par::spmv(a, &x, &mut tmp, &part);
+    a.mul_vec_into(&x, &mut tmp);
     let mut r = vec![0.0; n];
     for i in 0..n {
         r[i] = b[i] - tmp[i];
     }
-    let res = par::norm2(&r, nt) / b_norm;
+    let res = norm2(&r) / b_norm;
     if res <= options.tolerance * 10.0 {
         Ok(Solution {
             solution: x,
@@ -570,7 +536,6 @@ pub fn gmres(
 mod tests {
     use super::*;
     use crate::coo::TripletBuilder;
-    use crate::ops::norm2;
     use crate::precond::{Identity, Ilu0, Jacobi};
 
     /// 1-D Poisson matrix, the classic SPD test problem.
@@ -751,35 +716,6 @@ mod tests {
         for (s, d) in sol.solution.iter().zip(&dense) {
             assert!((s - d).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn threaded_options_reproduce_serial_solutions() {
-        // Large enough that the parallel SpMV actually engages; the
-        // cached-partition path must agree with the serial defaults.
-        let n = 12_000;
-        let a = advection(n, 2.0); // tridiagonal: nnz ≈ 3n > MIN_PAR_NNZ
-        let b: Vec<f64> = (0..n).map(|i| ((i % 31) as f64) - 15.0).collect();
-        let serial = bicgstab(&a, &b, &Ilu0::new(&a), &SolverOptions::default()).unwrap();
-        let part = Arc::new(RowPartition::new(&a, 4));
-        let opts = SolverOptions {
-            threads: 4,
-            partition: Some(part),
-            ..SolverOptions::default()
-        };
-        let threaded = bicgstab(&a, &b, &Ilu0::new(&a), &opts).unwrap();
-        assert!(a.residual_norm(&threaded.solution, &b) / norm2(&b) < 1e-8);
-        for (s, t) in serial.solution.iter().zip(&threaded.solution) {
-            assert!((s - t).abs() < 1e-6, "{s} vs {t}");
-        }
-        // A mismatched cached partition is ignored, not trusted.
-        let bad = SolverOptions {
-            threads: 2,
-            partition: Some(Arc::new(RowPartition::serial(3))),
-            ..SolverOptions::default()
-        };
-        let sol = cg(&poisson(50), &[1.0; 50], &Identity::new(50), &bad).unwrap();
-        assert!(poisson(50).residual_norm(&sol.solution, &[1.0; 50]) < 1e-7);
     }
 
     #[test]

@@ -12,14 +12,13 @@ use crate::error::ThermalError;
 use crate::solution::{Resolution, SourceLayerTemps, ThermalSolution};
 use coolnet_grid::GridDims;
 use coolnet_obs::LazyCounter;
-use coolnet_sparse::par::{self, RowPartition};
 use coolnet_sparse::precond::Ilu0;
 use coolnet_sparse::{CsrMatrix, SolverOptions, TripletBuilder};
 use coolnet_units::Pascal;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One-time symbolic [`ProbeCache`] constructions (union pattern + ILU(0)
-/// structure + row partition).
+/// structure).
 static M_SYMBOLIC_BUILDS: LazyCounter = LazyCounter::new("probe.symbolic_builds");
 /// Numeric refreshes: matrix values rewritten + numeric ILU(0) sweep.
 static M_REFRESHES: LazyCounter = LazyCounter::new("probe.refreshes");
@@ -29,7 +28,7 @@ static M_REFRESH_SKIPS: LazyCounter = LazyCounter::new("probe.refresh_skips");
 static M_WARM_STARTS: LazyCounter = LazyCounter::new("probe.warm_starts");
 /// Warm starts that linearly extrapolated through two prior solutions.
 static M_EXTRAPOLATIONS: LazyCounter = LazyCounter::new("probe.warm_start_extrapolations");
-/// Steady-state solves, cached and cold paths alike.
+/// Steady-state solves, cached and reference paths alike.
 static M_STEADY_SOLVES: LazyCounter = LazyCounter::new("probe.steady_solves");
 
 /// Node indices of one source layer plus its spatial resolution.
@@ -69,10 +68,9 @@ pub(crate) struct Assembled {
 ///
 /// The matrix `A(p) = cond + p · adv_unit` is linear in the system
 /// pressure, so its sparsity pattern never changes: the union pattern, the
-/// slot-aligned split into conduction and unit-advection values, the
-/// ILU(0) symbolic structure, and the solver's row partition can all be
-/// computed once. A probe then only rewrites `nnz` values in place and
-/// runs the numeric ILU sweep.
+/// slot-aligned split into conduction and unit-advection values and the
+/// ILU(0) symbolic structure can all be computed once. A probe then only
+/// rewrites `nnz` values in place and runs the numeric ILU sweep.
 #[derive(Debug)]
 pub(crate) struct ProbeCache {
     /// System matrix on the union pattern; values rewritten per probe.
@@ -83,11 +81,6 @@ pub(crate) struct ProbeCache {
     adv_values: Vec<f64>,
     /// ILU(0) factor with reusable symbolic structure.
     ilu: Ilu0,
-    /// Row partition shared with the solver kernels.
-    partition: Arc<RowPartition>,
-    /// Worker-thread count the partition was built for (as requested in
-    /// the config, before hardware clamping).
-    threads: usize,
     /// Pressure of the last [`refresh`](ProbeCache::refresh); identical
     /// re-probes (golden-section reuses interior points) skip the numeric
     /// phase entirely.
@@ -100,7 +93,7 @@ pub(crate) struct ProbeCache {
 
 impl ProbeCache {
     /// Builds the symbolic state for `asm`'s couplings.
-    fn build(asm: &Assembled, threads: usize) -> Self {
+    fn build(asm: &Assembled) -> Self {
         // Union pattern over conduction and advection couplings, assembled
         // with all-positive placeholder values: `from_triplets` drops
         // entries that cancel to exactly zero, and real coefficient pairs
@@ -126,15 +119,12 @@ impl ProbeCache {
             }
         }
         let ilu = Ilu0::symbolic(&matrix);
-        let partition = Arc::new(RowPartition::new(&matrix, par::effective_workers(threads)));
         M_SYMBOLIC_BUILDS.inc();
         Self {
             matrix,
             base_values,
             adv_values,
             ilu,
-            partition,
-            threads,
             refreshed_p: None,
             last: None,
             prev: None,
@@ -269,9 +259,29 @@ impl Assembled {
         (b.to_csr(), self.rhs_at(p, t_inlet))
     }
 
-    /// Solves the steady-state system at `p_sys`.
-    ///
-    /// Unless `config.cold_rebuild` is set, the solve reuses the cached
+    /// Solver options of a steady solve at `p_sys`: the config's
+    /// tolerance, a generous iteration cap, and the caller's guess (or a
+    /// uniform `T_in` field) as the initial iterate.
+    fn steady_options(
+        &self,
+        p_sys: Pascal,
+        config: &ThermalConfig,
+        guess: Option<&[f64]>,
+    ) -> Result<SolverOptions, ThermalError> {
+        if p_sys.value() <= 0.0 {
+            return Err(ThermalError::ZeroFlow);
+        }
+        M_STEADY_SOLVES.inc();
+        let mut options = SolverOptions::with_tolerance(config.tolerance);
+        options.initial_guess = Some(match guess {
+            Some(g) => g.to_vec(),
+            None => vec![config.t_inlet.value(); self.n],
+        });
+        options.max_iterations = (8 * self.n).max(400);
+        Ok(options)
+    }
+
+    /// Solves the steady-state system at `p_sys` through the cached
     /// symbolic state ([`ProbeCache`]): per probe only the matrix values
     /// are rewritten and the numeric ILU(0) sweep re-run.
     pub fn steady(
@@ -280,60 +290,49 @@ impl Assembled {
         config: &ThermalConfig,
         guess: Option<&[f64]>,
     ) -> Result<ThermalSolution, ThermalError> {
-        if p_sys.value() <= 0.0 {
-            return Err(ThermalError::ZeroFlow);
+        let mut options = self.steady_options(p_sys, config, guess)?;
+        // Lock poisoning only happens if a panic escaped mid-refresh, which
+        // may have left a partially refreshed cache behind: drop the cached
+        // state (forcing a fresh build) and clear the flag so later calls
+        // warm-start normally again.
+        let poisoned = self.cache.0.is_poisoned();
+        let mut guard = coolnet_obs::sync::lock_recover(&self.cache.0);
+        if poisoned {
+            *guard = None;
+            self.cache.0.clear_poison();
         }
-        M_STEADY_SOLVES.inc();
-        let t_inlet = config.t_inlet.value();
-        let mut options = SolverOptions::with_tolerance(config.tolerance);
-        options.initial_guess = Some(match guess {
-            Some(g) => g.to_vec(),
-            None => vec![t_inlet; self.n],
-        });
-        options.max_iterations = (8 * self.n).max(400);
-        options.threads = config.solver_threads;
-
-        if !config.cold_rebuild {
-            // Lock poisoning only happens if a panic escaped mid-refresh,
-            // which may have left a partially refreshed cache behind: drop
-            // the cached state (forcing the from-scratch rebuild below) and
-            // clear the flag so later calls warm-start normally again.
-            let poisoned = self.cache.0.is_poisoned();
-            let mut guard = coolnet_obs::sync::lock_recover(&self.cache.0);
-            if poisoned {
-                *guard = None;
-                self.cache.0.clear_poison();
-            }
-            let rebuild = match guard.as_ref() {
-                Some(c) => c.threads != config.solver_threads,
-                None => true,
-            };
-            if rebuild {
-                *guard = Some(ProbeCache::build(self, config.solver_threads));
-            }
-            if let Some(cache) = guard.as_mut() {
-                cache.refresh(p_sys.value());
-                options.partition = Some(Arc::clone(&cache.partition));
-                // The cache's solution history gives a better initial
-                // iterate than the caller's single previous solution (the
-                // two coincide except for the extrapolation).
-                if let Some(g) = cache.guess(p_sys.value()) {
-                    options.initial_guess = Some(g);
-                }
-                let rhs = self.rhs_at(p_sys.value(), t_inlet);
-                // The ladder's first rung is the historical BiCGSTAB call
-                // with the cached ILU(0); escalation rungs (GMRES, fresh
-                // ILU(0), dense LU) only engage when it fails.
-                let solution = config
-                    .ladder
-                    .solve(&cache.matrix, &rhs, &cache.ilu, &options)?;
-                cache.record(p_sys.value(), &solution.solution);
-                return Ok(self.extract(solution.solution, solution.stats));
-            }
+        let cache = guard.get_or_insert_with(|| ProbeCache::build(self));
+        cache.refresh(p_sys.value());
+        // The cache's solution history gives a better initial iterate than
+        // the caller's single previous solution (the two coincide except
+        // for the extrapolation).
+        if let Some(g) = cache.guess(p_sys.value()) {
+            options.initial_guess = Some(g);
         }
+        let rhs = self.rhs_at(p_sys.value(), config.t_inlet.value());
+        // The ladder's first rung is the historical BiCGSTAB call with the
+        // cached ILU(0); escalation rungs (GMRES, fresh ILU(0), dense LU)
+        // only engage when it fails.
+        let solution = config
+            .ladder
+            .solve(&cache.matrix, &rhs, &cache.ilu, &options)?;
+        cache.record(p_sys.value(), &solution.solution);
+        Ok(self.extract(solution.solution, solution.stats))
+    }
 
-        // Cold path: full assembly and factorization from scratch.
-        let (matrix, rhs) = self.system(p_sys, t_inlet);
+    /// Solves the steady-state system at `p_sys` from scratch: full
+    /// assembly ([`system`](Self::system)), a fresh ILU(0) factorization
+    /// and a ladder solve from the caller's guess, with no cache read or
+    /// written. This is the reference [`steady`](Self::steady) is checked
+    /// against.
+    pub fn steady_reference(
+        &self,
+        p_sys: Pascal,
+        config: &ThermalConfig,
+        guess: Option<&[f64]>,
+    ) -> Result<ThermalSolution, ThermalError> {
+        let options = self.steady_options(p_sys, config, guess)?;
+        let (matrix, rhs) = self.system(p_sys, config.t_inlet.value());
         let precond = Ilu0::new(&matrix);
         let solution = config.ladder.solve(&matrix, &rhs, &precond, &options)?;
         Ok(self.extract(solution.solution, solution.stats))

@@ -28,17 +28,6 @@ pub struct ThermalConfig {
     pub advection: AdvectionScheme,
     /// Relative residual tolerance of the linear solve.
     pub tolerance: f64,
-    /// Worker threads for the sparse solver kernels; `0` and `1` both mean
-    /// serial. Parallel kernels only engage on systems large enough to
-    /// amortize thread spawns, so oversizing this is harmless.
-    #[serde(default)]
-    pub solver_threads: usize,
-    /// Force a full matrix + ILU(0) rebuild on every probe instead of
-    /// reusing the cached sparsity pattern and symbolic factorization.
-    /// The cold path is the reference implementation; this switch exists
-    /// for equivalence tests and benchmarking, not production use.
-    #[serde(default)]
-    pub cold_rebuild: bool,
     /// Escalation ladder for the steady and transient linear solves. The
     /// default nonsymmetric preset (BiCGSTAB → GMRES → dense LU) matches
     /// the cascade previously hard-coded in the assembly layer.
@@ -49,15 +38,13 @@ pub struct ThermalConfig {
 impl Default for ThermalConfig {
     /// `T_in = 300 K`, H1 walls, central differencing, `1e-8` tolerance
     /// (temperature errors well below a millikelvin at benchmark scales),
-    /// serial kernels, probe cache enabled.
+    /// the nonsymmetric ladder.
     fn default() -> Self {
         Self {
             t_inlet: Kelvin::new(300.0),
             wall_condition: WallCondition::ConstantHeatFlux,
             advection: AdvectionScheme::Central,
             tolerance: 1e-8,
-            solver_threads: 1,
-            cold_rebuild: false,
             ladder: SolveLadder::nonsymmetric(),
         }
     }

@@ -13,11 +13,9 @@ use crate::fourrm::FourRm;
 use crate::power::PowerMap;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::tworm::TwoRm;
-use coolnet_sparse::par::RowPartition;
 use coolnet_sparse::precond::Ilu0;
 use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions, TripletBuilder};
 use coolnet_units::{Kelvin, Pascal};
-use std::sync::Arc;
 
 /// A transient integrator over one of the compact models.
 ///
@@ -30,9 +28,6 @@ pub struct Transient<'a> {
     config: ThermalConfig,
     matrix: CsrMatrix,
     precond: Ilu0,
-    /// Row partition of `matrix` for the parallel solver kernels, built
-    /// once for the configured `solver_threads`.
-    partition: Arc<RowPartition>,
     /// Die-power part of the RHS (unscaled).
     rhs_power: Vec<f64>,
     /// Inlet-advection part of the RHS (fixed for a given pressure and
@@ -118,13 +113,6 @@ impl<'a> Transient<'a> {
         }
         let matrix = b.to_csr();
         let precond = Ilu0::new(&matrix);
-        // Honor the *requested* thread count (clamped by rows/nnz inside
-        // `RowPartition::new`, not by host cores): the partition shape is
-        // part of the transient replay contract — a trace must be
-        // bit-identical for a given `solver_threads` on any machine — so
-        // the host's core count must not leak into the partition. Mild
-        // oversubscription on small hosts costs microseconds per product.
-        let partition = Arc::new(RowPartition::new(&matrix, config.solver_threads.max(1)));
         let temps = match initial {
             Some(sol) => sol.all_temperatures().to_vec(),
             None => vec![config.t_inlet.value(); n],
@@ -135,7 +123,6 @@ impl<'a> Transient<'a> {
             config,
             matrix,
             precond,
-            partition,
             rhs_power,
             rhs_inlet,
             p_sys: p_sys.value(),
@@ -280,8 +267,6 @@ impl<'a> Transient<'a> {
             .collect();
         let mut options = SolverOptions::with_tolerance(self.config.tolerance);
         options.initial_guess = Some(self.temps.clone());
-        options.threads = self.config.solver_threads;
-        options.partition = Some(Arc::clone(&self.partition));
         let sol = self
             .config
             .ladder
@@ -431,65 +416,6 @@ mod tests {
         assert!(sim
             .transient(Pascal::from_kilopascals(1.0), 0.0, None)
             .is_err());
-    }
-
-    /// A two-die 4RM stack large enough (nnz ≥ `MIN_PAR_NNZ`) for the
-    /// parallel spmv kernel to engage.
-    fn big_stack(dims: GridDims) -> Stack {
-        let net = channels(dims);
-        Stack::interlayer(
-            dims,
-            100e-6,
-            vec![PowerMap::uniform(dims, 8.0), PowerMap::uniform(dims, 8.0)],
-            &[net.clone(), net],
-            200e-6,
-        )
-        .unwrap()
-    }
-
-    /// Regression for the ignored-`solver_threads` bug: `Transient::step`
-    /// built its `SolverOptions` without `threads`/`partition`, so the
-    /// transient path always ran the serial kernels no matter what
-    /// `ThermalConfig::solver_threads` said (the steady probe path wired
-    /// them correctly). Pre-fix, the `par.spmv_parallel` delta below was 0
-    /// with `solver_threads = 4`. The temperatures must stay bit-identical
-    /// to a serial run: spmv is row-partitioned (each row's dot product is
-    /// computed identically regardless of which worker owns it) and the
-    /// reductions stay serial at these sizes.
-    #[test]
-    fn solver_threads_reach_parallel_kernels_bit_identically() {
-        let dims = GridDims::new(41, 41);
-        let s = big_stack(dims);
-        let p = Pascal::from_kilopascals(10.0);
-
-        let serial_cfg = ThermalConfig::default();
-        assert_eq!(serial_cfg.solver_threads, 1, "baseline must be serial");
-        let sim1 = FourRm::new(&s, &serial_cfg).unwrap();
-        let mut tr1 = sim1.transient(p, 1e-3, None).unwrap();
-        tr1.run(5).unwrap();
-        let temps1 = tr1.snapshot().all_temperatures().to_vec();
-
-        let par_cfg = ThermalConfig {
-            solver_threads: 4,
-            ..ThermalConfig::default()
-        };
-        let sim4 = FourRm::new(&s, &par_cfg).unwrap();
-        let before = coolnet_obs::snapshot();
-        let mut tr4 = sim4.transient(p, 1e-3, None).unwrap();
-        tr4.run(5).unwrap();
-        let after = coolnet_obs::snapshot();
-        let temps4 = tr4.snapshot().all_temperatures().to_vec();
-
-        assert_eq!(temps1.len(), temps4.len());
-        for (a, b) in temps1.iter().zip(&temps4) {
-            assert_eq!(a.to_bits(), b.to_bits(), "serial {a} vs threaded {b}");
-        }
-        let parallel_spmvs = after.counter_delta(&before, "par.spmv_parallel");
-        assert!(
-            parallel_spmvs > 0,
-            "solver_threads = 4 never reached the parallel spmv kernel \
-             (pre-fix behavior: options.threads was left at 0)"
-        );
     }
 
     #[test]

@@ -437,6 +437,27 @@ impl TwoRm {
         self.assembled.steady(p_sys, &self.config, None)
     }
 
+    /// Steady-state simulation at `p_sys` rebuilt from scratch: full
+    /// matrix assembly and a fresh ILU(0) factorization, started from
+    /// `guess` (or a uniform `T_in` field), with the probe cache neither
+    /// read nor written. This is the reference the probe cache behind
+    /// [`simulate`](Self::simulate) is checked against.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`simulate`](Self::simulate).
+    pub fn simulate_reference(
+        &self,
+        p_sys: Pascal,
+        guess: Option<&ThermalSolution>,
+    ) -> Result<ThermalSolution, ThermalError> {
+        self.assembled.steady_reference(
+            p_sys,
+            &self.config,
+            guess.map(ThermalSolution::all_temperatures),
+        )
+    }
+
     /// Warm-started variant of [`simulate`](Self::simulate).
     ///
     /// # Errors

@@ -71,9 +71,11 @@ fn problem2_is_thread_count_invariant() {
 }
 
 /// The adaptive ladder (the stateless diagnostics gate) must be invisible
-/// to replay: the same probe sequence yields bitwise-identical
-/// temperatures and an identical rung/attempt trace at 1, 2 and 4 solver
-/// threads — with the gate both engaged and disabled.
+/// to replay: the same probe sequence on a fresh simulator with the same
+/// config yields bitwise-identical temperatures and an identical
+/// rung/attempt trace — with the gate both engaged and disabled. (The
+/// name predates the removal of the solver-thread knob; every solve is
+/// now serial.)
 ///
 /// The probe at 1e-9 kPa has vanishing advection, so the steady operator
 /// is a near-singular conduction Laplacian: with the gate on it is routed
@@ -97,11 +99,8 @@ fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
 
     // Replays one probe sequence on a fresh simulator, returning every
     // temperature bit plus the (rung, attempts) trace per probe.
-    let run = |threads: usize, gate: bool| -> (Vec<u64>, Vec<(usize, usize)>) {
-        let mut cfg = ThermalConfig {
-            solver_threads: threads,
-            ..ThermalConfig::default()
-        };
+    let run = |gate: bool| -> (Vec<u64>, Vec<(usize, usize)>) {
+        let mut cfg = ThermalConfig::default();
         if !gate {
             cfg.ladder.gate = DiagnosticsGate::disabled();
         }
@@ -119,26 +118,16 @@ fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
     // Gate on: degenerate probes are routed to the dense rung in a single
     // attempt; healthy probes are untouched at rung 0. No sticky state —
     // routing is per-solve, so the trace is position-independent.
-    let gated = run(1, true);
+    let gated = run(true);
     assert_eq!(gated.1, [(0, 1), (3, 1), (0, 1), (3, 1), (0, 1)]);
 
     // Gate off: each degenerate probe pays the full cascade (four
     // attempts), and each healthy probe after one still starts on rung 0
     // in one attempt — a solve depends only on its own system.
-    let ungated = run(1, false);
+    let ungated = run(false);
     assert_eq!(ungated.1, [(0, 1), (3, 4), (0, 1), (3, 4), (0, 1)]);
 
-    // Neither mechanism may leak thread-count dependence into results.
-    for threads in [2, 4] {
-        assert_eq!(
-            run(threads, true),
-            gated,
-            "gated replay at {threads} threads"
-        );
-        assert_eq!(
-            run(threads, false),
-            ungated,
-            "ungated replay at {threads} threads"
-        );
-    }
+    // Neither mechanism may carry state from one replay into the next.
+    assert_eq!(run(true), gated, "gated replay");
+    assert_eq!(run(false), ungated, "ungated replay");
 }

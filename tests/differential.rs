@@ -8,8 +8,8 @@
 //! * every gated check passes — serde and case-file round-trips,
 //!   2RM-vs-4RM rise-relative agreement, the analytic single-channel
 //!   closed form, Algorithm 3 optimum stability across models;
-//! * the corpus fingerprint is bit-identical at 1, 2 and 4 solver
-//!   threads (the `all_identical` contract of `BENCH_diff.json`).
+//! * the corpus fingerprint is bit-identical on a same-config replay
+//!   (the `all_identical` contract of `BENCH_diff.json`).
 
 use coolnet::cases::gen::{corpus, CaseSpec};
 use coolnet::opt::differential::{fingerprint, run_case, CaseReport, DiffConfig};
@@ -26,24 +26,20 @@ fn slice() -> Vec<CaseSpec> {
     specs
 }
 
-fn cfg(threads: usize) -> DiffConfig {
-    DiffConfig {
+fn sweep() -> Vec<CaseReport> {
+    let cfg = DiffConfig {
         coarsenings: vec![2],
-        solver_threads: threads,
         ..DiffConfig::default()
-    }
-}
-
-fn sweep(threads: usize) -> Vec<CaseReport> {
+    };
     slice()
         .iter()
-        .map(|s| run_case(s, &cfg(threads)).unwrap_or_else(|e| panic!("case {}: {e}", s.name)))
+        .map(|s| run_case(s, &cfg).unwrap_or_else(|e| panic!("case {}: {e}", s.name)))
         .collect()
 }
 
 #[test]
 fn corpus_slice_passes_every_gate() {
-    for r in sweep(1) {
+    for r in sweep() {
         assert!(r.all_ok(), "case {} failed a gate: {r:?}", r.name);
         assert!(
             r.analytic_rel_error < 1e-6,
@@ -63,14 +59,15 @@ fn corpus_slice_passes_every_gate() {
     }
 }
 
+/// A same-config replay of the slice reproduces the corpus fingerprint.
+/// (The name predates the removal of the solver-thread knob; every solve
+/// is now serial.)
 #[test]
 fn corpus_fingerprint_is_thread_invariant() {
-    let base = fingerprint(&sweep(1));
-    for threads in [2usize, 4] {
-        assert_eq!(
-            fingerprint(&sweep(threads)),
-            base,
-            "solver_threads = {threads} changed the corpus fingerprint"
-        );
-    }
+    let base = fingerprint(&sweep());
+    assert_eq!(
+        fingerprint(&sweep()),
+        base,
+        "a replay changed the corpus fingerprint"
+    );
 }

@@ -153,14 +153,13 @@ fn probe_cache_survives_faulted_probes() {
         let _scope = fault::inject(&FaultPlan::none());
         let stack = bench.stack_with(std::slice::from_ref(&net)).unwrap();
         let cached = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
-        let cold_cfg = ThermalConfig {
-            cold_rebuild: true,
-            ..ThermalConfig::default()
-        };
-        let cold = TwoRm::new(&stack, 2, &cold_cfg).unwrap();
         let refs: Vec<ThermalSolution> = kpa
             .iter()
-            .map(|&k| cold.simulate(Pascal::from_kilopascals(k)).unwrap())
+            .map(|&k| {
+                cached
+                    .simulate_reference(Pascal::from_kilopascals(k), None)
+                    .unwrap()
+            })
             .collect();
         (cached, refs)
     };

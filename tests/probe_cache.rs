@@ -1,7 +1,7 @@
-//! Equivalence tests for the probe-path cache: `steady()` with cached
+//! Equivalence tests for the probe-path cache: `simulate` with cached
 //! numeric reassembly and ILU(0) refactoring must reproduce the
-//! cold-rebuild reference path across pressures, both reduced models, and
-//! thread counts.
+//! cold-rebuild reference (`simulate_reference`) across pressures and
+//! both reduced models.
 
 use coolnet::prelude::*;
 
@@ -25,18 +25,6 @@ fn max_abs_diff(a: &ThermalSolution, b: &ThermalSolution) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-fn cached_and_cold(threads: usize) -> (ThermalConfig, ThermalConfig) {
-    let cached = ThermalConfig {
-        solver_threads: threads,
-        ..ThermalConfig::default()
-    };
-    let cold = ThermalConfig {
-        cold_rebuild: true,
-        ..ThermalConfig::default()
-    };
-    (cached, cold)
-}
-
 const PRESSURES_KPA: [f64; 4] = [2.0, 6.0, 10.0, 20.0];
 
 // The two paths assemble the same operator with different summation
@@ -49,15 +37,14 @@ const TOL_KELVIN: f64 = 5e-3;
 #[test]
 fn two_rm_cached_probes_match_cold_rebuild() {
     let stack = test_stack();
-    let (cached_cfg, cold_cfg) = cached_and_cold(1);
-    let cached = TwoRm::new(&stack, 2, &cached_cfg).unwrap();
-    let cold = TwoRm::new(&stack, 2, &cold_cfg).unwrap();
+    let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
     for kpa in PRESSURES_KPA {
         let p = Pascal::from_kilopascals(kpa);
-        // The cached model reuses its ProbeCache across this loop — the
-        // exact access pattern of a pressure search.
-        let a = cached.simulate(p).unwrap();
-        let b = cold.simulate(p).unwrap();
+        // The cached path reuses its ProbeCache across this loop — the
+        // exact access pattern of a pressure search; the reference path
+        // neither reads nor writes it.
+        let a = sim.simulate(p).unwrap();
+        let b = sim.simulate_reference(p, None).unwrap();
         let d = max_abs_diff(&a, &b);
         assert!(d < TOL_KELVIN, "2RM mismatch {d} K at {kpa} kPa");
     }
@@ -66,27 +53,14 @@ fn two_rm_cached_probes_match_cold_rebuild() {
 #[test]
 fn four_rm_cached_probes_match_cold_rebuild() {
     let stack = test_stack();
-    let (cached_cfg, cold_cfg) = cached_and_cold(1);
-    let cached = FourRm::new(&stack, &cached_cfg).unwrap();
-    let cold = FourRm::new(&stack, &cold_cfg).unwrap();
+    let sim = FourRm::new(&stack, &ThermalConfig::default()).unwrap();
     for kpa in [4.0, 12.0] {
         let p = Pascal::from_kilopascals(kpa);
-        let a = cached.simulate(p).unwrap();
-        let b = cold.simulate(p).unwrap();
+        let a = sim.simulate(p).unwrap();
+        let b = sim.simulate_reference(p, None).unwrap();
         let d = max_abs_diff(&a, &b);
         assert!(d < TOL_KELVIN, "4RM mismatch {d} K at {kpa} kPa");
     }
-}
-
-#[test]
-fn threaded_cached_probes_match_serial_cold_rebuild() {
-    let stack = test_stack();
-    let (cached_cfg, cold_cfg) = cached_and_cold(4);
-    let cached = FourRm::new(&stack, &cached_cfg).unwrap();
-    let cold = FourRm::new(&stack, &cold_cfg).unwrap();
-    let p = Pascal::from_kilopascals(8.0);
-    let d = max_abs_diff(&cached.simulate(p).unwrap(), &cold.simulate(p).unwrap());
-    assert!(d < TOL_KELVIN, "threaded mismatch {d} K");
 }
 
 #[test]
@@ -94,17 +68,15 @@ fn warm_start_probes_match_too() {
     // simulate_with_guess drives the same cached path; feeding the
     // previous solution as a guess must not change the converged answer.
     let stack = test_stack();
-    let (cached_cfg, cold_cfg) = cached_and_cold(1);
-    let cached = TwoRm::new(&stack, 2, &cached_cfg).unwrap();
-    let cold = TwoRm::new(&stack, 2, &cold_cfg).unwrap();
+    let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
     let mut prev: Option<ThermalSolution> = None;
     for kpa in PRESSURES_KPA {
         let p = Pascal::from_kilopascals(kpa);
         let a = match &prev {
-            Some(g) => cached.simulate_with_guess(p, g).unwrap(),
-            None => cached.simulate(p).unwrap(),
+            Some(g) => sim.simulate_with_guess(p, g).unwrap(),
+            None => sim.simulate(p).unwrap(),
         };
-        let b = cold.simulate(p).unwrap();
+        let b = sim.simulate_reference(p, None).unwrap();
         let d = max_abs_diff(&a, &b);
         assert!(d < TOL_KELVIN, "warm-start mismatch {d} K at {kpa} kPa");
         prev = Some(a);

@@ -1,22 +1,15 @@
 //! Scenario replay contract: `(spec, substrate) → bit-identical trace`.
 //!
 //! The dynamic-scenario engine promises that a [`ScenarioSpec`] replays
-//! bit-for-bit — across repeated runs in one process, across a serde
-//! round trip of the spec, and across `solver_threads` counts. The
-//! thread-count claim rests on two mechanisms pinned by unit tests
-//! elsewhere and proven end-to-end here: the spmv row partition keeps
-//! per-row accumulation order fixed regardless of worker count, and the
-//! dot/axpy reductions stay serial below their parallelism threshold at
-//! thermal problem sizes. The 4RM model on a 41×41 two-die stack crosses
-//! the spmv parallel-dispatch threshold, so the sweep exercises the real
-//! parallel kernels — verified via the `par.spmv_parallel` counter, not
-//! assumed.
+//! bit-for-bit — across repeated runs in one process with fresh
+//! integrators, and across a serde round trip of the spec. The fixture
+//! runs the 4RM model on a 41×41 stack, above the direct rung's size cap,
+//! so every solve goes through the warm-started Krylov rungs.
 
 use coolnet::prelude::*;
 
 /// A scenario with four event kinds (power map, DVFS scale, forced
-/// pressure + release, inlet excursion) on a stack big enough that the
-/// 4RM transient dispatches parallel spmv when threads > 1.
+/// pressure + release, inlet excursion) on a 41×41 4RM stack.
 fn fixture() -> (Benchmark, CoolingNetwork, ScenarioSpec) {
     let dims = GridDims::new(41, 41);
     let bench = Benchmark::iccad_scaled(1, dims);
@@ -64,48 +57,27 @@ fn fixture() -> (Benchmark, CoolingNetwork, ScenarioSpec) {
     (bench, net, spec)
 }
 
-fn run_at(
-    bench: &Benchmark,
-    net: &CoolingNetwork,
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> ScenarioTrace {
-    let thermal = ThermalConfig {
-        solver_threads: threads,
-        ..ThermalConfig::default()
-    };
-    run_scenario(bench, net, spec, &thermal).unwrap()
+fn run(bench: &Benchmark, net: &CoolingNetwork, spec: &ScenarioSpec) -> ScenarioTrace {
+    run_scenario(bench, net, spec, &ThermalConfig::default()).unwrap()
 }
 
+/// Same-config replays in one process: fresh integrators, identical
+/// bits. (The name predates the removal of the solver-thread knob; every
+/// solve is now serial.)
 #[test]
 fn trace_is_bit_identical_across_solver_threads_and_runs() {
     let (bench, net, spec) = fixture();
-    let reference = run_at(&bench, &net, &spec, 1);
+    let reference = run(&bench, &net, &spec);
     assert_eq!(reference.intervals.len(), 8);
 
-    // Across runs: same process, fresh integrators, identical bits.
-    let again = run_at(&bench, &net, &spec, 1);
-    assert_eq!(reference.fingerprint(), again.fingerprint());
-    assert_eq!(reference, again);
-
-    // Across solver-thread counts — and the sweep must actually reach
-    // the parallel kernels at 4 threads, or the claim is vacuous.
-    for threads in [2usize, 4] {
-        let before = coolnet_obs::snapshot();
-        let t = run_at(&bench, &net, &spec, threads);
-        let after = coolnet_obs::snapshot();
+    for replay in 1..=2 {
+        let again = run(&bench, &net, &spec);
         assert_eq!(
             reference.fingerprint(),
-            t.fingerprint(),
-            "trace diverged at solver_threads = {threads}"
+            again.fingerprint(),
+            "trace diverged on replay {replay}"
         );
-        assert_eq!(reference, t);
-        if threads == 4 {
-            assert!(
-                after.counter_delta(&before, "par.spmv_parallel") > 0,
-                "4-thread run never dispatched a parallel spmv: sweep is vacuous"
-            );
-        }
+        assert_eq!(reference, again);
     }
 }
 
@@ -115,8 +87,8 @@ fn trace_survives_a_serde_round_trip_of_the_spec() {
     let json = serde_json::to_string(&spec).unwrap();
     let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
     assert_eq!(spec, back);
-    let a = run_at(&bench, &net, &spec, 1);
-    let b = run_at(&bench, &net, &back, 1);
+    let a = run(&bench, &net, &spec);
+    let b = run(&bench, &net, &back);
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(a, b);
 }
@@ -124,7 +96,7 @@ fn trace_survives_a_serde_round_trip_of_the_spec() {
 #[test]
 fn scored_metrics_are_finite_and_consistent() {
     let (bench, net, spec) = fixture();
-    let trace = run_at(&bench, &net, &spec, 1);
+    let trace = run(&bench, &net, &spec);
     assert!(trace.peak_t_max().value().is_finite());
     assert!(trace.peak_gradient().value() > 0.0);
     assert!(trace.peak_stress().value() > 0.0);

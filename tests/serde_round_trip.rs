@@ -119,4 +119,14 @@ fn solve_ladder_round_trips_inside_configs() {
     json.as_object_mut().unwrap().remove("ladder");
     let old: ThermalConfig = serde_json::from_value(json).unwrap();
     assert_eq!(old.ladder, SolveLadder::default());
+
+    // Configs saved while `ThermalConfig` still carried the removed
+    // solver-thread and cold-rebuild knobs still load: unknown keys are
+    // ignored.
+    let mut json: serde_json::Value = serde_json::to_value(&tc).unwrap();
+    let obj = json.as_object_mut().unwrap();
+    obj.insert("solver_threads".to_owned(), serde_json::json!(4));
+    obj.insert("cold_rebuild".to_owned(), serde_json::json!(true));
+    let legacy: ThermalConfig = serde_json::from_value(json).unwrap();
+    assert_eq!(legacy, ThermalConfig::default());
 }
