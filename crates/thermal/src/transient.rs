@@ -14,7 +14,7 @@ use crate::power::PowerMap;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::tworm::TwoRm;
 use coolnet_sparse::precond::Ilu0;
-use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions, TripletBuilder};
+use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions};
 use coolnet_units::{Kelvin, Pascal};
 
 /// A transient integrator over one of the compact models.
@@ -54,7 +54,8 @@ impl FourRm {
     /// # Errors
     ///
     /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure or
-    /// `dt <= 0`.
+    /// `dt <= 0`, and [`ThermalError::BadStack`] if a row of the assembled
+    /// system stores no diagonal entry.
     pub fn transient(
         &self,
         p_sys: Pascal,
@@ -72,7 +73,8 @@ impl TwoRm {
     /// # Errors
     ///
     /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure or
-    /// `dt <= 0`.
+    /// `dt <= 0`, and [`ThermalError::BadStack`] if a row of the assembled
+    /// system stores no diagonal entry.
     pub fn transient(
         &self,
         p_sys: Pascal,
@@ -94,7 +96,7 @@ impl<'a> Transient<'a> {
         if p_sys.value() <= 0.0 || dt <= 0.0 {
             return Err(ThermalError::ZeroFlow);
         }
-        let (steady_matrix, _) = assembled.system(p_sys, config.t_inlet.value());
+        let (mut matrix, _) = assembled.system(p_sys, config.t_inlet.value());
         let rhs_power = assembled.rhs_source.clone();
         let rhs_inlet: Vec<f64> = assembled
             .rhs_inlet_unit
@@ -103,15 +105,13 @@ impl<'a> Transient<'a> {
             .collect();
         let n = assembled.n;
         let cap_over_dt: Vec<f64> = assembled.capacitance.iter().map(|c| c / dt).collect();
-        // (C/dt + A)
-        let mut b = TripletBuilder::with_capacity(n, n, steady_matrix.nnz() + n);
-        for (r, c, v) in steady_matrix.iter() {
-            b.add(r, c, v);
-        }
+        // (C/dt + A), adding C/dt onto A's stored diagonal in place.
         for (i, &c) in cap_over_dt.iter().enumerate() {
-            b.add(i, i, c);
+            let slot = matrix.slot(i, i).ok_or_else(|| ThermalError::BadStack {
+                reason: format!("thermal system row {i} has no diagonal entry"),
+            })?;
+            matrix.values_mut()[slot] += c;
         }
-        let matrix = b.to_csr();
         let precond = Ilu0::new(&matrix);
         let temps = match initial {
             Some(sol) => sol.all_temperatures().to_vec(),
@@ -302,6 +302,7 @@ mod tests {
     use crate::stack::Stack;
     use coolnet_grid::{Cell, Dir, GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
+    use coolnet_sparse::TripletBuilder;
 
     fn channels(dims: GridDims) -> CoolingNetwork {
         let mut b = CoolingNetwork::builder(dims);
@@ -416,6 +417,67 @@ mod tests {
         assert!(sim
             .transient(Pascal::from_kilopascals(1.0), 0.0, None)
             .is_err());
+    }
+
+    #[test]
+    fn in_place_diagonal_matches_a_triplet_rebuild() {
+        // Both models store a diagonal in every row on single- and two-die
+        // stacks, and adding C/dt there gives the bits of re-merging A's
+        // entries with C/dt through a fresh TripletBuilder.
+        let dims = GridDims::new(9, 9);
+        let two_die = Stack::interlayer(
+            dims,
+            100e-6,
+            vec![PowerMap::uniform(dims, 2.0), PowerMap::uniform(dims, 1.0)],
+            &[channels(dims), channels(dims)],
+            200e-6,
+        )
+        .unwrap();
+        let config = ThermalConfig::default();
+        let (p, dt) = (Pascal::from_kilopascals(5.0), 1e-3);
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for s in [stack(dims, 3.0), two_die] {
+            let four = FourRm::new(&s, &config).unwrap();
+            let two = TwoRm::new(&s, 3, &config).unwrap();
+            for (assembled, tr) in [
+                (four.assembled(), four.transient(p, dt, None).unwrap()),
+                (two.assembled(), two.transient(p, dt, None).unwrap()),
+            ] {
+                let (a, _) = assembled.system(p, config.t_inlet.value());
+                assert!((0..a.rows()).all(|i| a.slot(i, i).is_some()));
+                let mut b = TripletBuilder::new(a.rows(), a.cols());
+                for (r, c, v) in a.iter() {
+                    b.add(r, c, v);
+                }
+                for (i, &c) in assembled.capacitance.iter().enumerate() {
+                    b.add(i, i, c / dt);
+                }
+                let rebuilt = b.to_csr();
+                assert_eq!(tr.matrix.row_ptr(), rebuilt.row_ptr());
+                assert_eq!(tr.matrix.col_indices(), rebuilt.col_indices());
+                assert_eq!(bits(&tr.matrix), bits(&rebuilt));
+            }
+        }
+    }
+
+    #[test]
+    fn missing_diagonal_is_a_bad_stack() {
+        let dims = GridDims::new(9, 9);
+        let s = stack(dims, 2.0);
+        let config = ThermalConfig::default();
+        let sim = FourRm::new(&s, &config).unwrap();
+        let mut assembled = sim.assembled().clone();
+        assembled.cond.retain(|&(r, c, _)| (r, c) != (0, 0));
+        assembled.adv_unit.retain(|&(r, c, _)| (r, c) != (0, 0));
+        let err = Transient::new(
+            &assembled,
+            config,
+            Pascal::from_kilopascals(5.0),
+            1e-3,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ThermalError::BadStack { .. }), "{err:?}");
     }
 
     #[test]
