@@ -99,11 +99,8 @@ pub mod prelude {
     pub use coolnet_network::{render, CoolingNetwork, LegalityError, Port, PortKind};
     pub use coolnet_opt::baseline;
     pub use coolnet_opt::psearch::PressureSearchOptions;
-    pub use coolnet_opt::runtime::{
-        pumping_energy, simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions,
-    };
     pub use coolnet_opt::scenario::{
-        run_scenario, EventAction, ScenarioEvent, ScenarioSpec, ScenarioTrace,
+        run_scenario, EventAction, FlowController, ScenarioEvent, ScenarioSpec, ScenarioTrace,
     };
     pub use coolnet_opt::treeopt::{
         ReuseOptions, Stage, StageMetric, TreeSearch, TreeSearchOptions,

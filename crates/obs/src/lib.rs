@@ -20,7 +20,7 @@
 //!   load — the gate is checked before the lazy handle is even resolved.
 //!
 //! Metric names follow a `subsystem.metric` scheme (`ladder.escalations`,
-//! `probe.refresh_skips`, `runtime.integrator_rebuilds`, …); the name is
+//! `probe.refresh_skips`, `scenario.integrator_rebuilds`, …); the name is
 //! the identity, so two statics with the same name observe one value.
 //!
 //! Counters and histogram cells are relaxed atomics: totals are exact once

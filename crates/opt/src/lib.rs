@@ -18,11 +18,10 @@
 //! * **Baselines** — [`baseline`] evaluates the straight-channel networks
 //!   of Tables 3–4 and the manual gallery standing in for the contest's
 //!   first place;
-//! * **Run-time management** — [`runtime`] closes a proportional flow
-//!   controller around the transient plant under DVFS power traces, and
-//!   [`scenario`] generalizes it to declarative timed-event scenarios
-//!   (hotspot migration, pump failure/recovery, inlet excursions) with a
-//!   scored, replayable trace;
+//! * **Run-time management** — [`scenario`] closes a proportional flow
+//!   controller around the transient plant under declarative timed-event
+//!   scenarios (DVFS power steps, hotspot migration, pump
+//!   failure/recovery, inlet excursions) with a scored, replayable trace;
 //! * **Evaluation reuse** — [`evalcache`] memoizes built networks, warm
 //!   evaluators and computed scores behind a bounded LRU cache; it is
 //!   behaviorally transparent: a fixed seed produces the same design with
@@ -60,7 +59,6 @@ pub mod netscore;
 pub mod pool;
 pub mod psearch;
 pub mod result;
-pub mod runtime;
 pub mod sa;
 pub mod scenario;
 pub mod treeopt;

@@ -1,25 +1,32 @@
 //! Dynamic-scenario engine: declarative timed-event schedules driven
-//! through the transient thermal plant.
+//! through the transient thermal plant under closed-loop flow control —
+//! the paper's future-work direction ("combining cooling networks with
+//! run-time thermal management techniques (e.g., DVFS and adjustable flow
+//! rates) to handle dynamic die power", §7).
 //!
-//! [`runtime`](crate::runtime) answers "what does closed-loop flow control
-//! do under a power *scale* trace?". Real dynamic studies need more: the
-//! hotspot *moves* (thread migration, core sleep/boost), the pump *fails*
-//! and recovers, the coolant supply *drifts*. A [`ScenarioSpec`] captures
-//! such a study declaratively — a name, a duration, a controller and a
-//! list of timed [`ScenarioEvent`]s — and is serde-round-trippable, so a
-//! scenario can live in a JSON file next to the benchmark it stresses.
+//! A proportional [`FlowController`] adjusts the pump pressure at every
+//! control-interval boundary to hold `T_max` at a setpoint, spending
+//! pumping energy only when the workload requires it. What the workload
+//! and the plant do is a list of timed [`ScenarioEvent`]s: global DVFS
+//! steps ([`EventAction::PowerScale`]), a hotspot that *moves* (thread
+//! migration, core sleep/boost), a pump that *fails* and recovers, a
+//! coolant supply that *drifts*. A [`ScenarioSpec`] captures such a study
+//! declaratively — a name, a duration, a controller and the events — and
+//! is serde-round-trippable, so a scenario can live in a JSON file next to
+//! the benchmark it stresses.
 //!
 //! [`run_scenario`] executes a spec against one cooling system and
 //! returns a scored [`ScenarioTrace`]: per control interval, `T_max`, the
 //! §3 gradient `ΔT`, the pumping power, and the per-die
 //! max-spatial-gradient thermal-stress proxy
-//! ([`ThermalSolution::stress_proxy`]). The runner reuses the
-//! [`runtime`](crate::runtime) plant machinery — integrators persist
-//! across intervals and rebuild only on pressure changes, warm-started
-//! from the latest field — and applies power-map and
-//! inlet-temperature events through the cheap RHS-refresh hooks
-//! ([`Transient::set_power_map`], [`Transient::set_inlet_temperature`]),
-//! never paying a reassembly for them.
+//! ([`ThermalSolution::stress_proxy`]). The plant is the transient 2RM or
+//! 4RM simulator. Changing the pressure swaps the advection operator, so
+//! the integrator persists across intervals and is rebuilt (warm-started
+//! from the latest field) only when the pressure actually moves — and
+//! reused, internal state and all, when the controller holds it (e.g.
+//! clamped at a bound). Power-map and inlet-temperature events go through
+//! the cheap RHS-refresh hooks ([`Transient::set_power_map`],
+//! [`Transient::set_inlet_temperature`]), never paying a rebuild.
 //!
 //! Everything is deterministic: no clocks, no RNG, and every solve runs
 //! on the calling thread. A spec replayed with the same thermal
@@ -32,12 +39,11 @@
 //! [`ThermalSolution::stress_proxy`]: coolnet_thermal::ThermalSolution::stress_proxy
 
 use crate::evaluate::ModelChoice;
-use crate::runtime::{control_steps, sim_steps, FlowController, Plant};
 use coolnet_cases::{floorplan, Benchmark};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
-use coolnet_thermal::{PowerMap, ThermalConfig, ThermalError, ThermalSolution};
+use coolnet_thermal::{FourRm, PowerMap, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
 use coolnet_units::{Kelvin, Pascal, Watt};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -48,6 +54,31 @@ static M_RUNS: LazyCounter = LazyCounter::new("scenario.runs");
 static M_EVENTS: LazyCounter = LazyCounter::new("scenario.events_applied");
 /// Control intervals simulated under a forced-pressure episode.
 static M_FORCED: LazyCounter = LazyCounter::new("scenario.forced_intervals");
+/// Transient-integrator builds (in-place `C/dt` diagonal update + ILU(0));
+/// a clamped-pressure run should build once, not once per interval.
+static M_INTEGRATOR_REBUILDS: LazyCounter = LazyCounter::new("scenario.integrator_rebuilds");
+
+/// A proportional controller on the pump pressure.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FlowController {
+    /// `T_max` setpoint.
+    pub target: Kelvin,
+    /// Proportional gain in Pa per kelvin of error.
+    pub gain: f64,
+    /// Lower pressure bound (pump idle).
+    pub p_min: Pascal,
+    /// Upper pressure bound (pump limit).
+    pub p_max: Pascal,
+}
+
+impl FlowController {
+    /// The next pressure given the current one and the measured `T_max`.
+    pub fn update(&self, current: Pascal, t_max: Kelvin) -> Pascal {
+        let error = t_max.value() - self.target.value();
+        let p = current.value() + self.gain * error;
+        Pascal::new(p.clamp(self.p_min.value(), self.p_max.value()))
+    }
+}
 
 /// What a [`ScenarioEvent`] does when it fires.
 ///
@@ -243,10 +274,7 @@ impl ScenarioSpec {
     }
 
     /// Preset: a DVFS square wave — four phases of `period` seconds
-    /// alternating `high` and `low` global power scale. The scenario-engine
-    /// equivalent of [`PowerTrace::dvfs_square`].
-    ///
-    /// [`PowerTrace::dvfs_square`]: crate::runtime::PowerTrace::dvfs_square
+    /// alternating `high` and `low` global power scale.
     pub fn dvfs_square(period: f64, high: f64, low: f64) -> Self {
         let scale = |k: usize, s: f64| ScenarioEvent {
             at: period * k as f64,
@@ -546,6 +574,66 @@ impl std::error::Error for ScenarioError {
     }
 }
 
+/// The thermal plant behind [`run_scenario`].
+enum Plant {
+    Two(TwoRm),
+    Four(FourRm),
+}
+
+impl Plant {
+    /// Builds the plant for `stack` under the chosen thermal model.
+    fn new(
+        stack: &coolnet_thermal::Stack,
+        model: ModelChoice,
+        config: &ThermalConfig,
+    ) -> Result<Self, ThermalError> {
+        Ok(match model {
+            ModelChoice::TwoRm { m } => Plant::Two(TwoRm::new(stack, m, config)?),
+            ModelChoice::FourRm => Plant::Four(FourRm::new(stack, config)?),
+        })
+    }
+
+    /// Builds a transient integrator at pressure `p` — the steady system
+    /// at `p` with `C/dt` added to its diagonal in place, plus an ILU(0)
+    /// factorization: the expensive part of a pressure change.
+    fn integrator(
+        &self,
+        p: Pascal,
+        dt: f64,
+        initial: Option<&ThermalSolution>,
+    ) -> Result<coolnet_thermal::transient::Transient<'_>, ThermalError> {
+        M_INTEGRATOR_REBUILDS.inc();
+        match self {
+            Plant::Two(s) => s.transient(p, dt, initial),
+            Plant::Four(s) => s.transient(p, dt, initial),
+        }
+    }
+}
+
+/// Number of integrator steps covering `duration`.
+///
+/// The naive `(duration / dt).ceil()` is float-sensitive: an exact-ratio
+/// horizon like `duration = 0.1, dt = 1e-3` evaluates to
+/// `100.00000000000001` and would simulate a spurious extra step. Ratios
+/// within a relative epsilon of an integer snap to `round()`; genuine
+/// partial steps still `ceil()`.
+fn sim_steps(duration: f64, dt: f64) -> usize {
+    let ratio = duration / dt;
+    let rounded = ratio.round();
+    let steps = if (ratio - rounded).abs() < 1e-9 * rounded.max(1.0) {
+        rounded
+    } else {
+        ratio.ceil()
+    };
+    steps as usize
+}
+
+/// Number of control intervals covering `duration` (the last one may be
+/// partial; the run loop clamps it to the horizon remainder).
+fn control_steps(duration: f64, dt: f64, control_interval: usize) -> usize {
+    sim_steps(duration, dt).div_ceil(control_interval)
+}
+
 /// Executes `spec` against one cooling system under the numerical
 /// substrate `thermal` (solver ladder, tolerance and the baseline inlet
 /// temperature events move away from).
@@ -692,7 +780,7 @@ pub fn run_scenario(
         tr.set_power_scale(scale);
 
         // The final interval of a non-exact-ratio horizon is clamped to
-        // the remainder, exactly as in `simulate_adaptive_flow`.
+        // the remainder: a 0.105 s horizon simulates 105 steps, not 110.
         let steps_this = spec.control_interval.min(total_sim_steps - steps_done);
         if let Err(e) = tr.run(steps_this) {
             return Err(fail(ctx, e));
@@ -978,5 +1066,223 @@ mod tests {
             }
             other => panic!("want Run error, got {other:?}"),
         }
+    }
+
+    /// A closed-loop spec with no events: `duration` seconds at nominal
+    /// power, 1 ms steps, control every 10 steps, starting at `p_kpa`.
+    fn closed_loop(duration: f64, p_kpa: f64, controller: FlowController) -> ScenarioSpec {
+        ScenarioSpec {
+            duration,
+            controller,
+            p_initial: Pascal::from_kilopascals(p_kpa),
+            ..quick(vec![])
+        }
+    }
+
+    /// A controller with zero gain pinned at `kpa`.
+    fn pinned(kpa: f64) -> FlowController {
+        FlowController {
+            target: Kelvin::new(320.0),
+            gain: 0.0,
+            p_min: Pascal::from_kilopascals(kpa),
+            p_max: Pascal::from_kilopascals(kpa),
+        }
+    }
+
+    fn run(spec: &ScenarioSpec) -> ScenarioTrace {
+        let (bench, net) = setup();
+        run_scenario(&bench, &net, spec, &ThermalConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn trace_lookup_is_piecewise_constant() {
+        // Phases switch on time: the boundaries 0.1 and 0.15 s are reached
+        // by summing 10 ms intervals (0.09999999999999999, 0.15) and must
+        // still fire phases 3 and 4 on intervals 10 and 15, not one late.
+        let _guard = metrics_lock();
+        let trace = run(&ScenarioSpec::dvfs_square(0.05, 1.0, 0.2));
+        assert_eq!(trace.intervals.len(), 20);
+        for (i, s) in trace.intervals.iter().enumerate() {
+            let want = if (i / 5) % 2 == 0 { 1.0 } else { 0.2 };
+            assert_eq!(s.power_scale, want, "interval {i}: {s:?}");
+        }
+    }
+
+    #[test]
+    fn controller_raises_pressure_when_hot() {
+        let c = FlowController {
+            target: Kelvin::new(320.0),
+            gain: 100.0,
+            p_min: Pascal::new(1e3),
+            p_max: Pascal::new(1e5),
+        };
+        let p = c.update(Pascal::new(5e3), Kelvin::new(330.0));
+        assert!((p.value() - 6e3).abs() < 1e-9);
+        // And clamps at bounds.
+        let p = c.update(Pascal::new(9.99e4), Kelvin::new(400.0));
+        assert_eq!(p.value(), 1e5);
+        let p = c.update(Pascal::new(1.2e3), Kelvin::new(250.0));
+        assert_eq!(p.value(), 1e3);
+    }
+
+    #[test]
+    fn controller_drives_pressure_toward_the_active_bound() {
+        // Deterministic closed-loop checks: with an unreachably low
+        // setpoint the loop must pump up; with an unreachably high one it
+        // must relax to idle.
+        let _guard = metrics_lock();
+        let run_at = |target: f64| {
+            let controller = FlowController {
+                target: Kelvin::new(target),
+                gain: 2000.0,
+                p_min: Pascal::from_kilopascals(0.5),
+                p_max: Pascal::from_kilopascals(60.0),
+            };
+            run(&closed_loop(0.1, 5.0, controller)).intervals
+        };
+        // Always too hot relative to a 300.5 K target: pressure must rise.
+        let hot = run_at(300.5);
+        assert!(hot.last().unwrap().p_sys.value() > hot[0].p_sys.value());
+        // Always cool vs a 390 K target: pressure must fall to idle.
+        let cool = run_at(390.0);
+        assert!(cool.last().unwrap().p_sys.value() < 5.0e3);
+        for s in hot.iter().chain(&cool) {
+            assert!(s.t_max.value() > 299.9 && s.t_max.value() < 400.0);
+        }
+    }
+
+    #[test]
+    fn adaptive_control_saves_pumping_energy_vs_fixed() {
+        // The headline claim of run-time management: equal thermal envelope,
+        // less pumping energy, on a high/low power trace.
+        let _guard = metrics_lock();
+        let high_low = |controller: FlowController| ScenarioSpec {
+            events: vec![
+                ScenarioEvent {
+                    at: 0.0,
+                    action: EventAction::PowerScale { scale: 1.0 },
+                },
+                ScenarioEvent {
+                    at: 0.05,
+                    action: EventAction::PowerScale { scale: 0.1 },
+                },
+            ],
+            ..closed_loop(0.1, 10.0, controller)
+        };
+        let fixed = FlowController {
+            target: Kelvin::new(310.0),
+            ..pinned(10.0)
+        };
+        let adaptive = FlowController {
+            target: Kelvin::new(310.0),
+            gain: 800.0,
+            p_min: Pascal::from_kilopascals(0.5),
+            p_max: Pascal::from_kilopascals(10.0),
+        };
+        let e_fixed = run(&high_low(fixed)).pumping_energy();
+        let e_adaptive = run(&high_low(adaptive)).pumping_energy();
+        assert!(
+            e_adaptive < e_fixed,
+            "adaptive {e_adaptive} !< fixed {e_fixed}"
+        );
+    }
+
+    #[test]
+    fn exact_ratio_traces_have_no_spurious_interval() {
+        // 0.1 / (1e-3 · 10) = 10.000000000000002 in f64: the naive ceil()
+        // simulated an 11th interval. Exact ratios must snap.
+        assert_eq!(control_steps(0.1, 1e-3, 10), 10);
+        assert_eq!(control_steps(0.2, 1e-3, 10), 20);
+        assert_eq!(control_steps(0.3, 1e-3, 10), 30);
+        assert_eq!(control_steps(0.6, 2e-3, 30), 10);
+        // Genuine partial intervals still round up.
+        assert_eq!(control_steps(0.105, 1e-3, 10), 11);
+        assert_eq!(control_steps(0.001, 1e-3, 10), 1);
+        // Step-level accounting behind them.
+        assert_eq!(sim_steps(0.105, 1e-3), 105);
+        assert_eq!(sim_steps(0.1, 1e-3), 100);
+        assert_eq!(sim_steps(0.0015, 1e-3), 2);
+    }
+
+    #[test]
+    fn partial_final_interval_is_clamped_to_the_trace_remainder() {
+        // Regression for the trace-end overrun: a 0.105 s horizon used to
+        // simulate 11 full intervals = 0.110 s, and the pumping energy
+        // charged a full 0.010 s for the 0.005 s remainder. The final
+        // interval runs exactly the 5 remaining steps.
+        let _guard = metrics_lock();
+        let trace = run(&closed_loop(0.105, 10.0, pinned(10.0)));
+        let intervals = &trace.intervals;
+        assert_eq!(intervals.len(), 11);
+        for s in &intervals[..10] {
+            assert!((s.interval_s - 0.010).abs() < 1e-12, "{s:?}");
+        }
+        let last = intervals.last().unwrap();
+        assert!(
+            (last.interval_s - 0.005).abs() < 1e-12,
+            "final interval simulated {} s, want the 0.005 s remainder \
+             (pre-fix behavior: a full 0.010 s)",
+            last.interval_s
+        );
+        // Total simulated time and charged energy match the horizon.
+        let simulated: f64 = intervals.iter().map(|s| s.interval_s).sum();
+        assert!((simulated - 0.105).abs() < 1e-12);
+        let w = intervals[0].w_pump.value();
+        let energy = trace.pumping_energy();
+        assert!(
+            (energy - w * 0.105).abs() < 1e-9 * w.max(1.0),
+            "energy {energy} != w_pump x duration {}",
+            w * 0.105
+        );
+    }
+
+    #[test]
+    fn clamped_controller_reuses_the_integrator() {
+        // A controller clamped to a single pressure must build the
+        // transient integrator once for the whole trace, not once per
+        // control interval — verified via the scenario.integrator_rebuilds
+        // counter. Interval timestamps must stamp the interval *start*.
+        let _guard = metrics_lock();
+        let spec = closed_loop(0.1, 10.0, pinned(10.0));
+        let before = coolnet_obs::snapshot();
+        let trace = run(&spec);
+        let after = coolnet_obs::snapshot();
+
+        // Exact-ratio horizon: exactly 10 intervals, no spurious 11th.
+        assert_eq!(trace.intervals.len(), 10);
+        let rebuilds = after.counter_delta(&before, "scenario.integrator_rebuilds");
+        assert!(rebuilds <= 2, "clamped run rebuilt {rebuilds} times");
+        assert_eq!(rebuilds, 1);
+        assert_eq!(after.counter_delta(&before, "scenario.runs"), 1);
+
+        // Interval-start timestamps: first interval at t = 0, fixed spacing.
+        let interval = spec.dt * spec.control_interval as f64;
+        for (i, s) in trace.intervals.iter().enumerate() {
+            assert!((s.time - i as f64 * interval).abs() < 1e-12, "{s:?}");
+            assert_eq!(s.power_scale, 1.0);
+        }
+    }
+
+    #[test]
+    fn moving_controller_rebuilds_once_per_pressure_change() {
+        let _guard = metrics_lock();
+        // Unreachable setpoint with a live gain: the pressure moves every
+        // interval until it clamps at p_max.
+        let hot = FlowController {
+            target: Kelvin::new(300.5),
+            gain: 2000.0,
+            p_min: Pascal::from_kilopascals(0.5),
+            p_max: Pascal::from_kilopascals(60.0),
+        };
+        let before = coolnet_obs::snapshot();
+        let trace = run(&closed_loop(0.05, 5.0, hot));
+        let after = coolnet_obs::snapshot();
+        let changes = trace
+            .intervals
+            .windows(2)
+            .filter(|w| w[0].p_sys != w[1].p_sys)
+            .count() as u64;
+        let rebuilds = after.counter_delta(&before, "scenario.integrator_rebuilds");
+        assert_eq!(rebuilds, 1 + changes, "{trace:#?}");
     }
 }

@@ -565,4 +565,33 @@ mod tests {
             .unwrap();
         tr.set_inlet_temperature(Kelvin::new(0.0));
     }
+
+    #[test]
+    fn backward_euler_error_is_first_order_in_dt() {
+        // Backward Euler's global error is O(dt): halving the step must
+        // halve the error in T_max at a fixed horizon, measured against a
+        // much finer-step reference of the same scheme.
+        let dims = GridDims::new(9, 9);
+        let s = stack(dims, 3.0);
+        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let p = Pascal::from_kilopascals(5.0);
+        let horizon = 0.02;
+        let t_max_at = |steps: usize| {
+            let mut tr = sim.transient(p, horizon / steps as f64, None).unwrap();
+            tr.run(steps).unwrap();
+            tr.snapshot().max_temperature().value()
+        };
+        let reference = t_max_at(640);
+        let errors: Vec<f64> = [10, 20, 40]
+            .iter()
+            .map(|&n| (t_max_at(n) - reference).abs())
+            .collect();
+        for pair in errors.windows(2) {
+            let ratio = pair[0] / pair[1];
+            assert!(
+                (1.8..=2.3).contains(&ratio),
+                "error ratio {ratio} for errors {errors:?}"
+            );
+        }
+    }
 }

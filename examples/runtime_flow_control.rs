@@ -10,9 +10,6 @@
 //! cargo run --release --example runtime_flow_control
 //! ```
 
-use coolnet::opt::runtime::{
-    pumping_energy, simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions,
-};
 use coolnet::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Workload: full power / 20% power alternating every 50 ms.
-    let trace = PowerTrace::dvfs_square(0.05, 1.0, 0.2);
+    let workload = ScenarioSpec::dvfs_square(0.05, 1.0, 0.2);
     let target = Kelvin::new(312.0);
 
     // (a) Fixed pressure sized for the high-power phase.
@@ -43,25 +40,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p_max: Pascal::from_kilopascals(30.0),
     };
 
-    let opts = RuntimeOptions {
-        p_initial: Pascal::from_kilopascals(12.0),
-        ..RuntimeOptions::default()
-    };
-
     println!(
         "workload: {:?} s DVFS square trace, T_max target {target}",
-        trace.duration()
+        workload.duration
     );
-    for (name, ctrl) in [("fixed pressure", fixed), ("adaptive flow", adaptive)] {
-        let samples = simulate_adaptive_flow(&bench, &network, &trace, &ctrl, &opts)?;
-        let worst = samples
-            .iter()
-            .map(|s| s.t_max.value())
-            .fold(f64::NEG_INFINITY, f64::max);
-        let energy = pumping_energy(&samples);
+    for (name, controller) in [("fixed pressure", fixed), ("adaptive flow", adaptive)] {
+        let spec = ScenarioSpec {
+            controller,
+            p_initial: Pascal::from_kilopascals(12.0),
+            ..workload.clone()
+        };
+        let trace = run_scenario(&bench, &network, &spec, &ThermalConfig::default())?;
         println!("\n--- {name} ---");
         println!("   t (ms)  scale   P (kPa)   T_max (K)   W_pump (mW)");
-        for s in samples.iter().step_by(2) {
+        for s in trace.intervals.iter().step_by(2) {
             println!(
                 "  {:>6.0}  {:>5.2}  {:>8.2}  {:>10.2}  {:>12.4}",
                 s.time * 1e3,
@@ -72,8 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!(
-            "worst T_max = {worst:.2} K, pumping energy = {:.3} mJ",
-            energy * 1e3
+            "worst T_max = {:.2} K, pumping energy = {:.3} mJ",
+            trace.peak_t_max().value(),
+            trace.pumping_energy() * 1e3
         );
     }
     println!(

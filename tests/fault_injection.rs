@@ -9,9 +9,9 @@
 //! other's fault indices.
 
 use coolnet::opt::evalcache::EvalCache;
-use coolnet::opt::runtime::{simulate_adaptive_flow, FlowController, PowerTrace, RuntimeOptions};
 use coolnet::opt::sa::{anneal_with_stats, SaOptions};
 use coolnet::opt::treeopt::{EvalKind, EvalRequest, RequestScorer};
+use coolnet::opt::ScenarioError;
 use coolnet::prelude::*;
 use coolnet::sparse::resilience::fault::{self, FaultKind, FaultPlan};
 
@@ -314,49 +314,63 @@ fn solver_errors_are_counted_apart_from_infeasible_candidates() {
     drop(clean);
 }
 
-/// A mid-trace solver fault in the run-time simulation surfaces a
-/// `RuntimeError` carrying the failing control step, simulated time,
-/// active pressure, and every sample collected before the fault.
+/// A mid-trace solver fault in a closed-loop scenario surfaces a
+/// `ScenarioError::Run` carrying the failing control step, simulated time,
+/// active pressure, and every interval completed before the fault.
 #[test]
 fn runtime_simulation_fault_reports_context_and_partial_trace() {
     let bench = Benchmark::iccad_scaled(1, dims());
     let net = valid_net();
-    let trace = PowerTrace::new(vec![(1.0, 1.0)]);
-    let controller = FlowController {
-        target: Kelvin::new(310.0),
-        gain: 800.0,
-        p_min: Pascal::from_kilopascals(0.5),
-        p_max: Pascal::from_kilopascals(10.0),
+    let spec = ScenarioSpec {
+        name: "faulted".to_owned(),
+        duration: 1.0,
+        dt: 1e-3,
+        control_interval: 10,
+        model: ModelChoice::fast(),
+        controller: FlowController {
+            target: Kelvin::new(310.0),
+            gain: 800.0,
+            p_min: Pascal::from_kilopascals(0.5),
+            p_max: Pascal::from_kilopascals(10.0),
+        },
+        p_initial: Pascal::from_kilopascals(5.0),
+        events: Vec::new(),
     };
-    let opts = RuntimeOptions::default();
     // Fault a contiguous window of attempt indices well past model setup:
     // whichever transient step lands in it has every ladder rung refused,
     // failing the simulation a few control intervals into the trace.
     let plan = FaultPlan::at((30..80).map(|i| (i, FaultKind::NotConverged)));
     let scope = fault::inject(&plan);
-    let err = simulate_adaptive_flow(&bench, &net, &trace, &controller, &opts)
+    let err = run_scenario(&bench, &net, &spec, &ThermalConfig::default())
         .expect_err("faulted window must abort the simulation");
     drop(scope);
     assert!(
         plan.fired() >= 4,
         "ladder exhaustion needs one fault per rung"
     );
-    assert!(
-        err.step >= 1,
-        "setup and early steps should precede the fault"
-    );
-    assert_eq!(err.samples.len(), err.step, "one sample per completed step");
-    assert!(err.time > 0.0);
-    assert!(err.p_sys.value() > 0.0);
-    assert!(matches!(err.source, ThermalError::Solver(_)));
     let msg = err.to_string();
+    let ScenarioError::Run {
+        step,
+        time,
+        p_sys,
+        intervals,
+        source,
+    } = err
+    else {
+        panic!("want a mid-trace Run error, got {err:?}");
+    };
+    assert!(step >= 1, "setup and early steps should precede the fault");
+    assert_eq!(intervals.len(), step, "one interval per completed step");
+    assert!(time > 0.0);
+    assert!(p_sys.value() > 0.0);
+    assert!(matches!(source, ThermalError::Solver(_)));
     assert!(
         msg.contains("step"),
         "display should locate the fault: {msg}"
     );
     // The partial trace is usable: monotone time, finite temperatures.
-    for pair in err.samples.windows(2) {
+    for pair in intervals.windows(2) {
         assert!(pair[1].time > pair[0].time);
     }
-    assert!(err.samples.iter().all(|s| s.t_max.value().is_finite()));
+    assert!(intervals.iter().all(|s| s.t_max.value().is_finite()));
 }
