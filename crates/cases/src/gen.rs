@@ -11,6 +11,11 @@
 //! comes from the crate-local [`CaseRng`] (a splitmix64 stream) rather
 //! than an external RNG crate whose stream may change between releases.
 //!
+//! [`CaseSpec`]: crate::gen::CaseSpec
+//! [`corpus`]: crate::gen::corpus
+//! [`CaseSpec::expand`]: crate::gen::CaseSpec::expand
+//! [`CaseRng`]: crate::gen::CaseRng
+//!
 //! # Parameter ranges
 //!
 //! The geometric ranges are grounded in the through-chip microchannel

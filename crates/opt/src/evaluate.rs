@@ -218,8 +218,8 @@ impl Evaluator {
     }
 
     /// Forgets all warm-start state (the previous thermal solution and the
-    /// simulator's internal probe history), so the next [`profile`]
-    /// (Evaluator::profile) call behaves exactly like the first call on a
+    /// simulator's internal probe history), so the next
+    /// [`profile`](Evaluator::profile) call behaves exactly like the first call on a
     /// freshly built evaluator.
     ///
     /// Evaluation-reuse layers call this before replaying a cached

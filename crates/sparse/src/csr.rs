@@ -8,6 +8,15 @@ use crate::dense::DenseMatrix;
 /// [`CsrMatrix::from_triplets`]. Column indices within each row are sorted
 /// and unique.
 ///
+/// Rows are also grouped into runs: maximal stretches of consecutive rows
+/// that store the same number of entries. [`mul_vec_into`] hands each run
+/// to a kernel whose inner loop has that length as a compile-time
+/// constant, so the loop is fully unrolled and no row ends on a
+/// mispredicted branch. The runs are built by the constructors and never
+/// go stale: only the values, not the pattern, can change afterwards.
+///
+/// [`mul_vec_into`]: CsrMatrix::mul_vec_into
+///
 /// # Examples
 ///
 /// ```
@@ -23,6 +32,22 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
+    /// First row of each run of equal-length rows, closed by `rows`; a
+    /// function of `row_ptr` alone.
+    runs: Vec<usize>,
+}
+
+/// The first row of each maximal run of consecutive rows with the same
+/// length in the row pointer `ptr`, closed by the row count (`[0]` when
+/// there are no rows).
+pub(crate) fn equal_length_runs(ptr: &[usize]) -> Vec<usize> {
+    let len = |r: usize| ptr[r + 1] - ptr[r];
+    let rows = ptr.len() - 1;
+    let mut runs: Vec<usize> = (0..rows)
+        .filter(|&r| r == 0 || len(r) != len(r - 1))
+        .collect();
+    runs.push(rows);
+    runs
 }
 
 impl CsrMatrix {
@@ -90,6 +115,7 @@ impl CsrMatrix {
         Self {
             rows,
             cols,
+            runs: equal_length_runs(&row_ptr),
             row_ptr,
             col_idx,
             values,
@@ -98,10 +124,12 @@ impl CsrMatrix {
 
     /// Creates an `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
+        let row_ptr: Vec<usize> = (0..=n).collect();
         Self {
             rows: n,
             cols: n,
-            row_ptr: (0..=n).collect(),
+            runs: equal_length_runs(&row_ptr),
+            row_ptr,
             col_idx: (0..n as u32).collect(),
             values: vec![1.0; n],
         }
@@ -217,15 +245,23 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "x has wrong length");
         assert_eq!(y.len(), self.rows, "y has wrong length");
-        #[allow(clippy::needless_range_loop)] // r indexes row_ptr windows too
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
+        for w in self.runs.windows(2) {
+            let (lo, hi) = (self.row_ptr[w[0]], self.row_ptr[w[1]]);
+            let (vals, cols) = (&self.values[lo..hi], &self.col_idx[lo..hi]);
+            let y = &mut y[w[0]..w[1]];
+            match self.row_ptr[w[0] + 1] - lo {
+                4 => mul_rows::<4>(vals, cols, x, y),
+                5 => mul_rows::<5>(vals, cols, x, y),
+                6 => mul_rows::<6>(vals, cols, x, y),
+                7 => mul_rows::<7>(vals, cols, x, y),
+                8 => mul_rows::<8>(vals, cols, x, y),
+                9 => mul_rows::<9>(vals, cols, x, y),
+                _ => {
+                    for (yr, p) in y.iter_mut().zip(self.row_ptr[w[0]..=w[1]].windows(2)) {
+                        *yr = dot_row(&self.values[p[0]..p[1]], &self.col_idx[p[0]..p[1]], x);
+                    }
+                }
             }
-            y[r] = acc;
         }
     }
 
@@ -300,6 +336,26 @@ impl CsrMatrix {
             hi = hi.max(d.abs());
         }
         (lo, hi)
+    }
+}
+
+/// One row of `A·x`: `0.0 + v₀·x[c₀] + v₁·x[c₁] + …`, left to right.
+fn dot_row(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (v, &c) in vals.iter().zip(cols) {
+        acc += v * x[c as usize];
+    }
+    acc
+}
+
+/// `y = A·x` over rows that each store exactly `L` entries, their slots
+/// back to back in `vals` / `cols`: [`dot_row`] with the row length known
+/// at compile time, so the compiler unrolls it.
+fn mul_rows<const L: usize>(vals: &[f64], cols: &[u32], x: &[f64], y: &mut [f64]) {
+    let (vals, _) = vals.as_chunks::<L>();
+    let (cols, _) = cols.as_chunks::<L>();
+    for ((yr, v), c) in y.iter_mut().zip(vals).zip(cols) {
+        *yr = dot_row(v, c, x);
     }
 }
 
@@ -437,6 +493,35 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_triplets_rejects_out_of_bounds() {
         CsrMatrix::from_triplets(1, 1, &[(1, 0, 1.0)]);
+    }
+
+    #[test]
+    fn runs_split_rows_of_equal_length() {
+        // Row lengths [2, 2, 3, 0, 0, 3].
+        let m = CsrMatrix::from_triplets(
+            6,
+            4,
+            &[
+                (0, 0, 1.0),
+                (0, 1, 1.0),
+                (1, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 0, 1.0),
+                (2, 2, 1.0),
+                (2, 3, 1.0),
+                (5, 1, 1.0),
+                (5, 2, 1.0),
+                (5, 3, 1.0),
+            ],
+        );
+        assert_eq!(m.runs, [0, 2, 3, 5, 6]);
+        assert_eq!(
+            m.mul_vec(&[1.0, 2.0, 3.0, 4.0]),
+            [3.0, 5.0, 8.0, 0.0, 0.0, 9.0]
+        );
+        assert_eq!(CsrMatrix::from_triplets(0, 0, &[]).runs, [0]);
+        assert_eq!(CsrMatrix::identity(0).runs, [0]);
+        assert_eq!(CsrMatrix::identity(3).runs, [0, 3]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Preconditioners for the Krylov solvers.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{equal_length_runs, CsrMatrix};
 use std::ops::Range;
 
 /// A left preconditioner: given a residual `r`, computes `z ≈ A⁻¹·r`.
@@ -85,7 +85,9 @@ impl Preconditioner for Jacobi {
 /// Elimination runs on a natural-order CSR workspace; [`apply`] reads two
 /// level-ordered copies of its triangles (see `Sweep`), so rows that do
 /// not depend on each other run back to back instead of waiting on their
-/// x-neighbour. Each row's arithmetic is unchanged, so the result is bit
+/// x-neighbour. Inside a level, rows sort by stored length, and each run
+/// of equal-length rows goes through a loop with that length fixed at
+/// compile time. Each row's arithmetic is unchanged, so the result is bit
 /// for bit the natural-order sweep's.
 ///
 /// [`apply`]: Preconditioner::apply
@@ -115,14 +117,21 @@ pub struct Ilu0 {
 
 /// One triangle of the factor, stored row after row in dependency-level
 /// order. Every row a sweep reads lies on a lower level, so it is final
-/// before the row's level starts; rows of one level are independent.
-/// Within a row, entries keep the CSR's ascending column order.
+/// before the row's level starts; rows of one level are independent, so
+/// within a level they sort by stored length. Consecutive rows of equal
+/// length form runs (about 50 rows long on a 41×41 4RM grid), and
+/// [`for_each_row`](Sweep::for_each_row) gives each run a loop whose row
+/// length is a compile-time constant. Within a row, entries keep the CSR's
+/// ascending column order.
 #[derive(Debug, Clone)]
 struct Sweep {
-    /// Matrix row of each stored row, sorted by `(level, row)`.
+    /// Matrix row of each stored row, sorted by `(level, length, row)`.
     rows: Vec<u32>,
     /// Offsets of each stored row in `cols` / `vals` (`rows.len() + 1`).
     ptr: Vec<usize>,
+    /// Index in `rows` of the first row of each run of equal-length rows,
+    /// closed by `rows.len()`.
+    runs: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f64>,
     /// CSR workspace slot of each stored value.
@@ -142,6 +151,7 @@ impl Sweep {
         }
         Self {
             rows: order,
+            runs: equal_length_runs(&ptr),
             ptr,
             cols: src.iter().map(|&s| col_idx[s]).collect(),
             vals: vec![0.0; src.len()],
@@ -156,46 +166,83 @@ impl Sweep {
         }
     }
 
-    /// The stored rows as `(row, cols, vals)`, in level order.
-    fn iter(&self) -> impl Iterator<Item = (usize, &[u32], &[f64])> {
-        self.rows
-            .iter()
-            .zip(self.ptr.windows(2))
-            .map(|(&i, w)| (i as usize, &self.cols[w[0]..w[1]], &self.vals[w[0]..w[1]]))
+    /// Calls `row(i, cols, vals)` on each stored row, in level order. A
+    /// run of rows storing 1 to 5 entries (every length the 2RM and 4RM
+    /// factors have but the lone empty first lower row) goes through
+    /// [`run`], which fixes the length at compile time; other runs take a
+    /// plain row loop.
+    fn for_each_row(&self, mut row: impl FnMut(usize, &[u32], &[f64])) {
+        for w in self.runs.windows(2) {
+            let rows = &self.rows[w[0]..w[1]];
+            let (lo, hi) = (self.ptr[w[0]], self.ptr[w[1]]);
+            let (cols, vals) = (&self.cols[lo..hi], &self.vals[lo..hi]);
+            match self.ptr[w[0] + 1] - lo {
+                1 => run::<1>(rows, cols, vals, &mut row),
+                2 => run::<2>(rows, cols, vals, &mut row),
+                3 => run::<3>(rows, cols, vals, &mut row),
+                4 => run::<4>(rows, cols, vals, &mut row),
+                5 => run::<5>(rows, cols, vals, &mut row),
+                _ => {
+                    for (&i, p) in rows.iter().zip(self.ptr[w[0]..=w[1]].windows(2)) {
+                        row(i as usize, &self.cols[p[0]..p[1]], &self.vals[p[0]..p[1]]);
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Orders `0..n` by `(level, row)`, where `level(i)` is one more than the
-/// highest level among the rows `reads(i)` names, or 0 when it names none.
-/// `visit` must list every row after all the rows it reads.
+/// Calls `row` on each of `rows`, whose entries are `L` apiece, back to
+/// back in `cols` / `vals`.
+fn run<const L: usize>(
+    rows: &[u32],
+    cols: &[u32],
+    vals: &[f64],
+    row: &mut impl FnMut(usize, &[u32], &[f64]),
+) {
+    let (cols, _) = cols.as_chunks::<L>();
+    let (vals, _) = vals.as_chunks::<L>();
+    for ((&i, c), v) in rows.iter().zip(cols).zip(vals) {
+        row(i as usize, c, v);
+    }
+}
+
+/// Orders `0..n` by `(level, reads, row)`, where `level(i)` is one more
+/// than the highest level among the rows `reads(i)` names, or 0 when it
+/// names none, and `reads` is how many rows it names. `visit` must list
+/// every row after all the rows it reads.
 fn level_order<'a>(
     n: usize,
     visit: impl Iterator<Item = usize>,
     reads: impl Fn(usize) -> &'a [u32],
 ) -> Vec<u32> {
+    let width = (0..n).map(|i| reads(i).len()).max().unwrap_or(0) + 1;
     let mut level = vec![0usize; n];
-    let mut depth = 0;
+    let mut key = vec![0usize; n];
+    let mut buckets = 0;
     for i in visit {
-        let l = reads(i)
+        let cols = reads(i);
+        let l = cols
             .iter()
             .map(|&c| level[c as usize] + 1)
             .max()
             .unwrap_or(0);
         level[i] = l;
-        depth = depth.max(l + 1);
+        key[i] = l * width + cols.len();
+        buckets = buckets.max(key[i] + 1);
     }
-    // Counting sort by level; rows enter each bucket in ascending order.
-    let mut next = vec![0usize; depth + 1];
-    for &l in &level {
-        next[l + 1] += 1;
+    // Counting sort by key; rows enter each bucket in ascending order.
+    let mut next = vec![0usize; buckets + 1];
+    for &k in &key {
+        next[k + 1] += 1;
     }
-    for d in 0..depth {
-        next[d + 1] += next[d];
+    for b in 0..buckets {
+        next[b + 1] += next[b];
     }
     let mut order = vec![0u32; n];
-    for (i, &l) in level.iter().enumerate() {
-        order[next[l]] = i as u32;
-        next[l] += 1;
+    for (i, &k) in key.iter().enumerate() {
+        order[next[k]] = i as u32;
+        next[k] += 1;
     }
     order
 }
@@ -408,21 +455,21 @@ impl Preconditioner for Ilu0 {
         assert_eq!(r.len(), self.dim, "r has wrong length");
         assert_eq!(z.len(), self.dim, "z has wrong length");
         // Forward solve L·y = r (unit diagonal L, strictly-lower entries).
-        for (i, cols, vals) in self.lower.iter() {
+        self.lower.for_each_row(|i, cols, vals| {
             let mut acc = r[i];
             for (&c, &l) in cols.iter().zip(vals) {
                 acc -= l * z[c as usize];
             }
             z[i] = acc;
-        }
+        });
         // Backward solve U·z = y; each stored row leads with its pivot.
-        for (i, cols, vals) in self.upper.iter() {
+        self.upper.for_each_row(|i, cols, vals| {
             let mut acc = z[i];
             for (&c, &u) in cols[1..].iter().zip(&vals[1..]) {
                 acc -= u * z[c as usize];
             }
             z[i] = acc / vals[0];
-        }
+        });
     }
 
     fn dim(&self) -> usize {
@@ -559,10 +606,14 @@ mod tests {
     #[test]
     fn grid_levels_are_antidiagonal_wavefronts() {
         // On a 3×3 grid the forward sweep's level is x + y and the backward
-        // sweep's is (2 − x) + (2 − y); rows sort by level, then index.
+        // sweep's is (2 − x) + (2 − y); rows sort by level, then stored
+        // length, then index, so the centre row 4 (two reads in each
+        // triangle) follows the edge rows of its level.
         let ilu = Ilu0::symbolic(&grid(3, 3, 1.0));
-        assert_eq!(ilu.lower.rows, [0, 1, 3, 2, 4, 6, 5, 7, 8]);
-        assert_eq!(ilu.upper.rows, [8, 5, 7, 2, 4, 6, 1, 3, 0]);
+        assert_eq!(ilu.lower.rows, [0, 1, 3, 2, 6, 4, 5, 7, 8]);
+        assert_eq!(ilu.upper.rows, [8, 5, 7, 2, 6, 4, 1, 3, 0]);
+        assert_eq!(ilu.lower.runs, [0, 1, 5, 9]);
+        assert_eq!(ilu.upper.runs, [0, 1, 5, 9]);
     }
 
     #[test]
@@ -579,9 +630,18 @@ mod tests {
                 (2, 1, -1.0),
             ],
         );
+        // In each triangle a two-read row on level 2 is read by a one-read
+        // row on level 3, so ordering by length before level breaks it.
+        let long_row_read_late = |s: f64| {
+            let mut t = vec![(1, 0, -1.0), (2, 0, -s), (2, 1, -1.0), (3, 2, -s)];
+            t.extend([(2, 3, -1.0), (1, 2, -s), (1, 3, -1.0), (0, 1, -s)]);
+            t.extend((0..4).map(|i| (i, i, 4.0 + i as f64)));
+            CsrMatrix::from_triplets(4, 4, &t)
+        };
         for (a, refreshed) in [
             (tridiag(7), tridiag(7)),
             (grid(9, 7, 0.5), grid(9, 7, 3.0)),
+            (long_row_read_late(0.5), long_row_read_late(2.0)),
             (missing_diag.clone(), missing_diag),
         ] {
             let n = a.rows();

@@ -10,6 +10,9 @@
 //! order under a [`RetryPolicy`], returning the solution together with a
 //! [`SolveReport`] that records every attempt for observability.
 //!
+//! [`Rung`]: crate::resilience::Rung
+//! [`RetryPolicy`]: crate::resilience::RetryPolicy
+//!
 //! Two presets cover the workspace's systems:
 //!
 //! * [`SolveLadder::spd`] — for the symmetric positive definite pressure
@@ -28,7 +31,7 @@
 //! models made before the ladder existed, so the no-fault fast path is
 //! numerically identical to the historical behavior.
 //!
-//! The companion [`fault`] module (compiled under `cfg(test)` or the
+//! The companion `fault` module (compiled under `cfg(test)` or the
 //! `fault-inject` feature) injects deterministic failures at chosen
 //! attempt indices so tests can force every rung — including the terminal
 //! dense fallback — and prove the whole stack degrades gracefully.

@@ -284,6 +284,26 @@ proptest! {
     }
 
     #[test]
+    fn csr_mul_vec_matches_row_loop_bit_for_bit((a, _values2, x) in ragged_system(80)) {
+        // Rows of 0 to ~12 entries reach every fixed-length kernel of
+        // `mul_vec_into`, its generic fallback and empty rows. The
+        // reference sums each row `0.0 + v₀·x₀ + v₁·x₁ + …` left to right.
+        let want: Vec<f64> = (0..a.rows())
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                let mut acc = 0.0;
+                for (&c, &v) in cols.iter().zip(vals) {
+                    acc += v * x[c as usize];
+                }
+                acc
+            })
+            .collect();
+        let mut y = vec![f64::NAN; a.rows()];
+        a.mul_vec_into(&x, &mut y);
+        prop_assert_eq!(bits(&y), bits(&want));
+    }
+
+    #[test]
     fn ilu0_apply_matches_natural_order_bit_for_bit((a, values2, r) in ragged_system(80)) {
         let mut ilu = Ilu0::new(&a);
         let mut z = vec![0.0; a.rows()];
