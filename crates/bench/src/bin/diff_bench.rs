@@ -7,11 +7,11 @@
 //! ```
 //!
 //! Expands `corpus(seed, 120)` ([`coolnet::cases::gen::corpus`]) and runs
-//! every generated case through the five differential checks of
+//! every generated case through the six differential checks of
 //! [`coolnet::opt::differential`]: serde and case-file round-trips,
 //! 2RM-vs-4RM agreement under the rise-relative metric, the analytic
-//! single-channel closed form, and Algorithm 3 optimum stability across
-//! models. Writes `BENCH_diff.json` into `--out`
+//! single-channel closed form, Algorithm 3 optimum stability across
+//! models, and the energy-balance pressure floor. Writes `BENCH_diff.json` into `--out`
 //! (default `target/experiments`) with per-case reports and the contract
 //! bits the CI smoke step gates on:
 //!
@@ -109,6 +109,8 @@ struct DiffBench {
     all_roundtrip_ok: bool,
     /// Every case's Algorithm 3 optima agreed across models.
     all_optimum_ok: bool,
+    /// Every case violated `T*_max` just under its energy-balance floor.
+    all_energy_bound_ok: bool,
     /// All of the above.
     all_ok: bool,
     /// Hex FNV-1a corpus fingerprint of the base sweep (hex so `jq`
@@ -236,6 +238,7 @@ fn main() {
             .iter()
             .all(|r| r.serde_roundtrip_ok && r.file_roundtrip_ok),
         all_optimum_ok: reports.iter().all(|r| r.optimum.ok),
+        all_energy_bound_ok: reports.iter().all(|r| r.energy_bound_ok),
         all_ok: reports.iter().all(CaseReport::all_ok),
         fingerprint: format!("{base_fp:016x}"),
         replay_fingerprint: format!("{replay_fp:016x}"),

@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Width-modulated design measured at the pressure where it meets the
     // real constraints (re-tuned on the full model).
-    let ev = Evaluator::from_stack(&stack, &design.network(&bench)?, ModelChoice::FourRm)?;
+    let ev = Evaluator::from_stack(&stack, ModelChoice::FourRm)?;
     match evaluate_problem1(&ev, bench.delta_t_limit, bench.t_max_limit, &psearch)? {
         NetworkScore::Feasible {
             p_sys, objective, ..

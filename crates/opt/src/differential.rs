@@ -29,14 +29,22 @@
 //!    disagreement in temperature legitimately moves `P*` by orders of
 //!    magnitude — so pressure mismatches fall back to a temperature-space
 //!    transfer test: the fine model evaluated at the coarse optimum must
-//!    respect `ΔT*` within a slack.
+//!    respect `ΔT*` within a slack;
+//! 6. **energy bound** — the 4RM model solved at `0.99·P_lb`, just under
+//!    the energy-balance floor of
+//!    [`Evaluator::peak_pressure_floor`], must violate `T*_max`: the
+//!    floor Algorithm 2 puts under Algorithm 3 discards no feasible
+//!    pressure. This is the coolant-enthalpy balance of
+//!    `fourrm::tests::energy_conservation_via_coolant_enthalpy`, read as
+//!    a bound on the discrete model.
 //!
-//! [`run_case`] executes all five and returns a serializable
+//! [`run_case`] executes all six and returns a serializable
 //! [`CaseReport`]; [`fingerprint`] digests a slice of reports into one
 //! order-sensitive u64 so whole corpus sweeps can be compared
 //! bit-for-bit across solver thread counts (`BENCH_diff.json`'s
 //! `all_identical` contract).
 
+use crate::evaluate::{Evaluator, ModelChoice};
 use crate::psearch::{minimize_pressure_for_gradient, PressureSearchOptions, PressureSearchResult};
 use coolnet_cases::files;
 use coolnet_cases::gen::CaseSpec;
@@ -48,7 +56,7 @@ use coolnet_network::{CoolingNetwork, PortKind};
 use coolnet_sparse::SolveLadder;
 use coolnet_thermal::compare::{max_absolute_error, mean_relative_error, mean_relative_rise_error};
 use coolnet_thermal::{FourRm, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
-use coolnet_units::{ChannelGeometry, Coolant, Pascal};
+use coolnet_units::{ChannelGeometry, Coolant, Kelvin, Pascal};
 use serde::Serialize;
 
 /// Gates and knobs for one differential sweep.
@@ -186,6 +194,13 @@ pub struct CaseReport {
     pub analytic_ok: bool,
     /// Algorithm 3 optimum agreement across models.
     pub optimum: OptimumStability,
+    /// Energy-balance floor `P_lb` for the case's `T*_max`, Pa.
+    pub energy_floor: f64,
+    /// 4RM `T_max` at `0.99·P_lb`, kelvin.
+    pub energy_t_max: f64,
+    /// `energy_t_max > T*_max`: no pressure under the floor meets
+    /// `T*_max`.
+    pub energy_bound_ok: bool,
 }
 
 impl CaseReport {
@@ -196,6 +211,7 @@ impl CaseReport {
             && self.agreement_ok
             && self.analytic_ok
             && self.optimum.ok
+            && self.energy_bound_ok
     }
 }
 
@@ -223,8 +239,8 @@ pub fn run_case(spec: &CaseSpec, cfg: &DiffConfig) -> Result<CaseReport, Thermal
     let stack = bench.stack_with(&[net])?;
     let config = ThermalConfig::default();
 
-    let fine = FourRm::new(&stack, &config)?;
-    let reference = fine.simulate(cfg.p_ref)?;
+    let fine = Evaluator::from_stack(&stack, ModelChoice::FourRm)?;
+    let reference = fine.solve(cfg.p_ref)?;
     let mut agreement = Vec::with_capacity(cfg.coarsenings.len());
     for &m in &cfg.coarsenings {
         let sol = TwoRm::new(&stack, m, &config)?.simulate(cfg.p_ref)?;
@@ -242,6 +258,8 @@ pub fn run_case(spec: &CaseSpec, cfg: &DiffConfig) -> Result<CaseReport, Thermal
 
     let optimum = optimum_stability(&stack, &bench, &config, cfg)?;
 
+    let (energy_floor, energy_t_max) = energy_bound(&fine, bench.t_max_limit)?;
+
     Ok(CaseReport {
         name: spec.name.clone(),
         grid: spec.grid,
@@ -253,7 +271,24 @@ pub fn run_case(spec: &CaseSpec, cfg: &DiffConfig) -> Result<CaseReport, Thermal
         analytic_rel_error,
         analytic_ok,
         optimum,
+        energy_floor,
+        energy_t_max,
+        energy_bound_ok: energy_t_max > bench.t_max_limit.value(),
     })
+}
+
+/// `P_lb` for `t_max_limit` and the 4RM `T_max` at `0.99·P_lb`.
+///
+/// With no die power (`P_lb = 0`) or a limit at or under `T_in` (`P_lb =
+/// ∞`) there is no pressure to probe and the bound holds by itself;
+/// `T_max` is then reported as `+∞`.
+fn energy_bound(ev: &Evaluator, t_max_limit: Kelvin) -> Result<(f64, f64), ThermalError> {
+    let floor = ev.peak_pressure_floor(t_max_limit).value();
+    if !(floor > 0.0 && floor.is_finite()) {
+        return Ok((floor, f64::INFINITY));
+    }
+    let t_max = ev.solve(Pascal::new(0.99 * floor))?.max_temperature();
+    Ok((floor, t_max.value()))
 }
 
 /// Relative error of the hydraulic solver against the analytic series
@@ -375,7 +410,9 @@ fn search_gradient_optimum(
         last = Some(sol);
         Ok(dt)
     };
-    minimize_pressure_for_gradient(&mut f, bench.delta_t_limit, &cfg.psearch)
+    // No energy floor: this compares where each model puts the ΔT
+    // crossing, which the T*_max bound says nothing about.
+    minimize_pressure_for_gradient(&mut f, bench.delta_t_limit, Pascal::new(0.0), &cfg.psearch)
 }
 
 fn serde_roundtrip(spec: &CaseSpec, bench: &Benchmark) -> bool {
@@ -406,7 +443,10 @@ fn file_roundtrip(bench: &Benchmark) -> bool {
 
 /// Order-sensitive FNV-1a digest of a report slice. Two sweeps producing
 /// the same reports in the same order share a fingerprint; any numeric
-/// drift (dependency bumps, reordered cases) changes it.
+/// drift (dependency bumps, reordered cases) changes it. The energy-bound
+/// fields are left out, so sweeps recorded before that check existed
+/// keep their fingerprint; `energy_bound_ok` is gated through
+/// [`CaseReport::all_ok`] instead.
 pub fn fingerprint(reports: &[CaseReport]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fn eat(h: &mut u64, bits: u64) {

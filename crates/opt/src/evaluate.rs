@@ -59,6 +59,11 @@ pub struct Evaluator {
     /// Total unit flow `Σ 1/R_layer` over every channel layer: the layers
     /// share the same system pressure drop, so pumping powers add.
     total_unit_flow: f64,
+    /// Heat the coolant carries away per pascal of `P_sys` per kelvin of
+    /// outlet rise: `Σ C_v,layer / R_layer` in W/(Pa·K).
+    unit_heat_capacity_rate: f64,
+    /// Total die power `Q` in watts.
+    total_power: f64,
     /// Previous solution, used to warm-start the next solve.
     last: RefCell<Option<ThermalSolution>>,
     probes: RefCell<usize>,
@@ -81,23 +86,18 @@ impl Evaluator {
         model: ModelChoice,
     ) -> Result<Self, ThermalError> {
         let stack = bench.stack_with(std::slice::from_ref(network))?;
-        Self::from_stack(&stack, network, model)
+        Self::from_stack(&stack, model)
     }
 
     /// Builds an evaluator for an explicit [`Stack`]. The pumping-power
     /// model is built from the stack's own channel layers — every layer
     /// contributes, since the layers are hydraulically parallel across the
-    /// same system pressure drop. The `_network` argument is retained for
-    /// API compatibility and no longer consulted.
+    /// same system pressure drop.
     ///
     /// # Errors
     ///
     /// Propagates hydraulic and assembly failures.
-    pub fn from_stack(
-        stack: &Stack,
-        _network: &CoolingNetwork,
-        model: ModelChoice,
-    ) -> Result<Self, ThermalError> {
+    pub fn from_stack(stack: &Stack, model: ModelChoice) -> Result<Self, ThermalError> {
         let config = ThermalConfig::default();
         let sim = match model {
             ModelChoice::TwoRm { m } => Sim::Two(TwoRm::new(stack, m, &config)?),
@@ -108,6 +108,7 @@ impl Evaluator {
         // undercounts W_pump N× and makes pressure_for_power convert the
         // Problem-2 budget into a too-generous pressure cap.
         let mut flows = Vec::new();
+        let mut unit_heat_capacity_rate = 0.0;
         for &li in stack.channel_layer_indices().iter() {
             if let coolnet_thermal::LayerKind::Channel {
                 network,
@@ -116,7 +117,10 @@ impl Evaluator {
                 ..
             } = &stack.layers()[li].kind
             {
-                flows.push(FlowModel::with_widths(network, flow, widths.as_ref())?);
+                let model = FlowModel::with_widths(network, flow, widths.as_ref())?;
+                unit_heat_capacity_rate +=
+                    flow.coolant.volumetric_heat_capacity() / model.system_resistance();
+                flows.push(model);
             }
         }
         if flows.is_empty() {
@@ -129,6 +133,8 @@ impl Evaluator {
             sim,
             flows,
             total_unit_flow,
+            unit_heat_capacity_rate,
+            total_power: stack.total_power().value(),
             last: RefCell::new(None),
             probes: RefCell::new(0),
             t_inlet: config.t_inlet,
@@ -140,6 +146,30 @@ impl Evaluator {
     /// limit at or under this value is infeasible without probing.
     pub fn inlet_temperature(&self) -> Kelvin {
         self.t_inlet
+    }
+
+    /// The energy-balance floor `P_lb` below which no pressure can hold
+    /// `T_max ≤ t_max_limit`.
+    ///
+    /// The outer boundaries are adiabatic, so in steady state the coolant
+    /// carries away all die power `Q`. Channel layer `i` passes `V̇_i =
+    /// P_sys/R_i` and its mixed outlet sits `Q_i/(C_v,i·V̇_i)` above `T_in`;
+    /// no die cell is cooler than that outlet, so `Q ≤ (T_max − T_in) ·
+    /// P_sys · Σ C_v,i/R_i` and
+    ///
+    /// `P_lb = Q / ((T*_max − T_in) · Σ C_v,i/R_i)`.
+    ///
+    /// Returns 0 when the stack dissipates nothing and `+∞` when
+    /// `t_max_limit ≤ T_in` with power on.
+    pub fn peak_pressure_floor(&self, t_max_limit: Kelvin) -> Pascal {
+        if self.total_power == 0.0 {
+            return Pascal::new(0.0);
+        }
+        let rise = t_max_limit.value() - self.t_inlet.value();
+        if rise <= 0.0 {
+            return Pascal::new(f64::INFINITY);
+        }
+        Pascal::new(self.total_power / (rise * self.unit_heat_capacity_rate))
     }
 
     /// Convenience: the benchmark's flow configuration.
@@ -256,6 +286,7 @@ mod tests {
     use super::*;
     use coolnet_grid::{tsv, Dir, GridDims};
     use coolnet_network::builders::straight::{self, StraightParams};
+    use coolnet_units::Coolant;
 
     fn setup() -> (Benchmark, CoolingNetwork) {
         let dims = GridDims::new(21, 21);
@@ -305,7 +336,7 @@ mod tests {
         .unwrap();
         let stack = bench.stack_with(&[net.clone(), net.clone()]).unwrap();
         assert_eq!(stack.channel_layer_indices().len(), 2);
-        let ev = Evaluator::from_stack(&stack, &net, ModelChoice::fast()).unwrap();
+        let ev = Evaluator::from_stack(&stack, ModelChoice::fast()).unwrap();
         let p = Pascal::from_kilopascals(10.0);
 
         let mut expected = 0.0;
@@ -340,6 +371,55 @@ mod tests {
         // The inverse conversion must round-trip through the summed model.
         let back = ev.pressure_for_power(ev.w_pump(p)).value();
         assert!((back - p.value()).abs() / p.value() < 1e-9);
+
+        // The energy floor sums C_v/R over both channel layers: twice the
+        // coolant flow of one layer halves the pressure that carries Q.
+        let limit = Kelvin::new(350.0);
+        let mut capacity_rate = 0.0;
+        for flow in ev.layer_flows() {
+            capacity_rate += Coolant::water().volumetric_heat_capacity() / flow.system_resistance();
+        }
+        let q = stack.total_power().value();
+        let expected = q / (50.0 * capacity_rate);
+        let got = ev.peak_pressure_floor(limit).value();
+        assert!(
+            (got - expected).abs() / expected < 1e-12,
+            "P_lb {got} != summed form {expected}"
+        );
+        let one_layer = q * ev.layer_flows()[0].system_resistance()
+            / (Coolant::water().volumetric_heat_capacity() * 50.0);
+        assert!(
+            (got - one_layer / 2.0).abs() / got < 1e-9,
+            "two matched layers must halve P_lb: {got} vs {one_layer}"
+        );
+    }
+
+    #[test]
+    fn peak_pressure_floor_is_the_coolant_enthalpy_bound() {
+        let (mut bench, net) = setup();
+        bench.power_maps.truncate(1);
+        bench.num_dies = 1;
+        let ev = Evaluator::new(&bench, &net, ModelChoice::fast()).unwrap();
+        assert_eq!(ev.layer_flows().len(), 1);
+        // One die, one channel layer: P_lb = Q·R_sys / (C_v·(T*_max − T_in)).
+        let q = bench.total_power();
+        let cv = Coolant::water().volumetric_heat_capacity();
+        let limit = Kelvin::new(340.0);
+        let expected = q * ev.system_resistance() / (cv * 40.0);
+        let got = ev.peak_pressure_floor(limit).value();
+        assert!(
+            (got - expected).abs() / expected < 1e-12,
+            "P_lb {got} != Q·R/(C_v·ΔT) {expected}"
+        );
+        // T_max at 0.99·P_lb must sit above the limit: no pressure below
+        // the floor is feasible.
+        let below = ev.profile(Pascal::new(0.99 * got)).unwrap();
+        assert!(below.t_max > limit, "T_max {} at 0.99·P_lb", below.t_max);
+        // A limit at or under T_in is unreachable with power on.
+        assert!(ev
+            .peak_pressure_floor(Kelvin::new(300.0))
+            .value()
+            .is_infinite());
     }
 
     #[test]

@@ -45,7 +45,9 @@ impl NetworkScore {
 /// Algorithm 2: the lowest feasible pumping power of a network.
 ///
 /// First solves Eq. (11) — minimum pressure meeting `ΔT*` — via
-/// Algorithm 3; if `T*_max` is violated at that pressure, a monotone
+/// Algorithm 3, floored at the energy-balance bound
+/// [`Evaluator::peak_pressure_floor`] below which `T*_max` cannot hold;
+/// if `T*_max` is violated at that pressure, a monotone
 /// binary search raises the pressure (h decreases with `P_sys`), and the
 /// `ΔT` constraint is re-checked afterwards (raising pressure can cross to
 /// the rising side of a uni-modal `f`).
@@ -68,9 +70,10 @@ pub fn evaluate_problem1(
     if t_max_limit <= ev.inlet_temperature() {
         return Ok(NetworkScore::Infeasible);
     }
-    // Line 1: solve (11).
+    // Line 1: solve (11) on the pressures that can meet T*_max at all.
     let mut f = |p: Pascal| ev.profile(p).map(|pr| pr.delta_t.value());
-    let r = minimize_pressure_for_gradient(&mut f, delta_t_limit, opts)?;
+    let floor = ev.peak_pressure_floor(t_max_limit);
+    let r = minimize_pressure_for_gradient(&mut f, delta_t_limit, floor, opts)?;
     // Line 2: ΔT cannot be met.
     if !r.feasible {
         return Ok(NetworkScore::Infeasible);
@@ -273,6 +276,33 @@ mod tests {
         // With a tiny pumping budget the chip cannot stay below 301 K.
         let score = evaluate_problem2(&ev, Watt::new(1e-9), Kelvin::new(301.0), &opts()).unwrap();
         assert!(!score.is_feasible());
+    }
+
+    #[test]
+    fn energy_floor_cuts_the_sub_pascal_walk() {
+        // Case 2's ΔT limit holds at every pressure, so unfloored
+        // Algorithm 3 halved 50 times from 10 kPa to ~1e-11 Pa, and
+        // `min_pressure_for_peak` climbed back from 1 Pa. Recorded before
+        // the floor: 70 probes, landing on 20 Pa.
+        let (bench, net) = setup(2);
+        let ev = Evaluator::new(&bench, &net, ModelChoice::fast()).unwrap();
+        let floor = ev.peak_pressure_floor(bench.t_max_limit).value();
+        let score =
+            evaluate_problem1(&ev, bench.delta_t_limit, bench.t_max_limit, &opts()).unwrap();
+        let NetworkScore::Feasible { p_sys, .. } = score else {
+            panic!("case 2 must stay feasible: {score:?}");
+        };
+        let p = p_sys.value();
+        assert!(p >= floor, "p = {p} below P_lb = {floor}");
+        assert!(
+            (p - 20.0).abs() / 20.0 <= opts().rel_tol,
+            "p = {p} moved more than rel_tol from 20 Pa"
+        );
+        assert!(
+            ev.probe_count() < 70,
+            "{} probes, no fewer than the unfloored 70",
+            ev.probe_count()
+        );
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! f(P_sys)` is either uni-modal or monotonically decreasing (Fig. 6).
 //! Probing either function means one full thermal simulation, so all
 //! searches are budgeted and converge on *relative* pressure intervals.
+//!
+//! Algorithm 3 also takes a pressure floor. Energy balance gives Problem 1
+//! one without any solve: the coolant is the only heat sink, so `T_max`
+//! cannot fall below the mixed outlet temperature, and no pressure under
+//! `P_lb = Q / ((T*_max − T_in) · Σ C_v/R_layer)` meets `T*_max`
+//! ([`Evaluator::peak_pressure_floor`](crate::evaluate::Evaluator::peak_pressure_floor)),
+//! so Algorithm 3 never needs to probe the near-singular low-flow
+//! systems below it.
 
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::ThermalError;
@@ -72,13 +80,24 @@ impl Probe<'_> {
     }
 }
 
-/// Algorithm 3: find the smallest `P_sys` with `f(P_sys) ≤ limit`, or —
-/// when no feasible pressure exists — the `P_sys` minimizing `f`, which
-/// certifies infeasibility.
+/// Algorithm 3: find the smallest `P_sys ≥ floor` with `f(P_sys) ≤
+/// limit`, or — when no feasible pressure exists — the `P_sys` minimizing
+/// `f` on `[floor, ∞)`, which certifies infeasibility.
 ///
 /// `f` is `ΔT` as a function of pressure: uni-modal or monotonically
 /// decreasing (§4.1). Probing is budgeted by `opts.max_probes`; on budget
 /// exhaustion the best point seen so far is returned.
+///
+/// `floor` is a pressure below which the caller already knows the answer
+/// is of no use — Algorithm 2 passes the energy-balance bound of
+/// [`Evaluator::peak_pressure_floor`](crate::evaluate::Evaluator::peak_pressure_floor),
+/// under which `T*_max` cannot hold. The search starts at `max(P_init,
+/// floor)`, and its leftward steps (the halvings while `f < limit` and
+/// the retreat from the rising side of `f`) go to `max(p/2, floor)`, so
+/// the floor itself is the last point probed on the way down. At the
+/// floor a feasible `f` is returned as feasible there, and a rising `f`
+/// as infeasible: the minimum of `f` over `[floor, ∞)` is then above the
+/// limit. A floor of 0 keeps the unfloored probe sequence bit for bit.
 ///
 /// # Errors
 ///
@@ -86,9 +105,15 @@ impl Probe<'_> {
 pub fn minimize_pressure_for_gradient(
     f: &mut dyn FnMut(Pascal) -> Result<f64, ThermalError>,
     limit: Kelvin,
+    floor: Pascal,
     opts: &PressureSearchOptions,
 ) -> Result<PressureSearchResult, ThermalError> {
     let limit = limit.value();
+    let floor = floor.value();
+    debug_assert!(
+        floor.is_finite() && floor >= 0.0,
+        "pressure floor must be finite and non-negative, got {floor}"
+    );
     let mut probe = Probe {
         f,
         count: 0,
@@ -103,13 +128,17 @@ pub fn minimize_pressure_for_gradient(
 
     // Initialization (lines 1–4): make sure f(p0) > limit and f is
     // decreasing at p0.
-    let mut p0 = opts.p_init;
+    let mut p0 = opts.p_init.max(floor);
     let mut f0 = probe.eval(p0)?;
     let mut halvings = 0;
     loop {
         while f0 < limit {
+            if p0 <= floor {
+                // Feasible at the floor: nothing lower can be of use.
+                return Ok(done(p0, f0, &probe));
+            }
             // Feasible already; push left to bracket the crossing.
-            p0 /= 2.0;
+            p0 = (p0 / 2.0).max(floor);
             f0 = probe.eval(p0)?;
             halvings += 1;
             if halvings > 50 || probe.exhausted() {
@@ -122,8 +151,13 @@ pub fn minimize_pressure_for_gradient(
         let p1 = p0 + s;
         let f1 = probe.eval(p1)?;
         if f0 < f1 {
+            if p0 <= floor {
+                // Rising at the floor: f's minimum on [floor, ∞) is
+                // f0, above the limit.
+                return Ok(done(p0, f0, &probe));
+            }
             // We are on the *rising* side of a uni-modal f; move left.
-            p0 /= 2.0;
+            p0 = (p0 / 2.0).max(floor);
             f0 = probe.eval(p0)?;
             halvings += 1;
             if halvings > 50 || probe.exhausted() {
@@ -340,6 +374,8 @@ pub fn golden_min(
 mod tests {
     use super::*;
 
+    const NO_FLOOR: Pascal = Pascal::new(0.0);
+
     fn opts() -> PressureSearchOptions {
         PressureSearchOptions {
             rel_tol: 1e-3,
@@ -363,7 +399,8 @@ mod tests {
     fn monotone_f_finds_the_crossing() {
         // f(p) = 1e5/p = 10 at p = 1e4.
         let mut f = decreasing;
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), &opts()).unwrap();
+        let r =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), NO_FLOOR, &opts()).unwrap();
         assert!(r.feasible);
         assert!((r.p_sys.value() - 1.0e4).abs() / 1.0e4 < 0.01, "{r:?}");
     }
@@ -373,7 +410,8 @@ mod tests {
         // Minimum of f is 2·√(10) ≈ 6.32 at ~3.16e4; limit 10 crosses the
         // falling side at p = 1e5/(10-1e-4 p) → p ≈ 11270.
         let mut f = unimodal;
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), &opts()).unwrap();
+        let r =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), NO_FLOOR, &opts()).unwrap();
         assert!(r.feasible);
         let expected = {
             // Solve 1e5/p + 1e-4 p = 10 (smaller root).
@@ -391,7 +429,8 @@ mod tests {
     fn unimodal_infeasible_returns_the_minimum() {
         // Minimum ≈ 6.32; limit 5 is infeasible.
         let mut f = unimodal;
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(5.0), &opts()).unwrap();
+        let r =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(5.0), NO_FLOOR, &opts()).unwrap();
         assert!(!r.feasible);
         let p_min = (1.0e5f64 / 1.0e-4).sqrt();
         assert!(
@@ -407,7 +446,8 @@ mod tests {
         // Start feasible at p_init = 1e4 (f = 1); the search must still
         // return (approximately) the *lowest* feasible pressure.
         let mut f = |p: Pascal| Ok(1.0e4 / p.value());
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), &opts()).unwrap();
+        let r =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(10.0), NO_FLOOR, &opts()).unwrap();
         assert!(r.feasible);
         assert!(
             (r.p_sys.value() - 1.0e3).abs() / 1.0e3 < 0.05,
@@ -427,7 +467,8 @@ mod tests {
             max_probes: 5,
             ..opts()
         };
-        let _ = minimize_pressure_for_gradient(&mut f, Kelvin::new(1e-9), &tight).unwrap();
+        let _ =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(1e-9), NO_FLOOR, &tight).unwrap();
         assert!(count <= 7, "count = {count}"); // budget + bracketing slack
     }
 
@@ -522,9 +563,127 @@ mod tests {
             count += 1;
             Ok(0.0)
         };
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(-1.0), &opts()).unwrap();
+        let r =
+            minimize_pressure_for_gradient(&mut f, Kelvin::new(-1.0), NO_FLOOR, &opts()).unwrap();
         assert!(!r.feasible, "{r:?}");
         assert!(count <= 12, "plateau exit took {count} probes");
+    }
+
+    /// Runs Algorithm 3 on `f` and returns the probed pressures.
+    fn probe_sequence(
+        f: fn(f64) -> f64,
+        limit: f64,
+        floor: f64,
+        opts: &PressureSearchOptions,
+    ) -> (Vec<f64>, PressureSearchResult) {
+        let mut seq = Vec::new();
+        let mut g = |p: Pascal| {
+            seq.push(p.value());
+            Ok(f(p.value()))
+        };
+        let r =
+            minimize_pressure_for_gradient(&mut g, Kelvin::new(limit), Pascal::new(floor), opts)
+                .unwrap();
+        (seq, r)
+    }
+
+    #[test]
+    fn feasible_walk_stops_at_the_floor() {
+        // f = 1e4/p meets 10 K from 1 kPa up; a 3 kPa floor cuts the
+        // halvings 10 k → 5 k → 3 k, and the floor is the last probe.
+        let (seq, r) = probe_sequence(|p| 1.0e4 / p, 10.0, 3000.0, &opts());
+        assert_eq!(seq, [10000.0, 5000.0, 3000.0]);
+        assert!(r.feasible, "{r:?}");
+        assert_eq!(r.p_sys.value(), 3000.0);
+        assert_eq!(r.probes, 3);
+    }
+
+    #[test]
+    fn rising_f_at_the_floor_is_infeasible() {
+        // Uni-modal f with its minimum (6.32 at 31.6 kPa) below the floor:
+        // the retreat from the rising side stops at 40 kPa, where f is
+        // still rising, so min f over [40 kPa, ∞) = f(40 kPa) = 6.5 > 5.
+        let start_high = PressureSearchOptions {
+            p_init: 2.0e5,
+            ..opts()
+        };
+        let (seq, r) = probe_sequence(|p| 1.0e5 / p + 1.0e-4 * p, 5.0, 4.0e4, &start_high);
+        assert_eq!(
+            seq,
+            [2.0e5, 3.0e5, 1.0e5, 1.5e5, 5.0e4, 7.5e4, 4.0e4, 6.0e4]
+        );
+        assert!(!r.feasible, "{r:?}");
+        assert_eq!(r.p_sys.value(), 4.0e4);
+        assert!((r.delta_t.value() - 6.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_floor_keeps_the_unfloored_probe_sequence() {
+        // Probe sequences recorded from Algorithm 3 before it took a
+        // floor: halvings then an expansion (A), and retreats from the
+        // rising side of a uni-modal f (B).
+        let (a, ra) = probe_sequence(|p| 1.0e4 / p, 10.0, 0.0, &opts());
+        assert_eq!(
+            a,
+            [
+                10000.0,
+                5000.0,
+                2500.0,
+                1250.0,
+                625.0,
+                937.5,
+                1562.5,
+                1250.0,
+                1093.75,
+                1015.625,
+                976.5625,
+                996.09375,
+                1005.859375,
+                1000.9765625,
+                998.53515625,
+                999.755859375,
+                1000.3662109375,
+            ]
+        );
+        assert_eq!(ra.p_sys.value(), 1000.3662109375);
+        let start_high = PressureSearchOptions {
+            p_init: 2.0e5,
+            ..opts()
+        };
+        let (b, rb) = probe_sequence(|p| 1.0e5 / p + 1.0e-4 * p, 10.0, 0.0, &start_high);
+        assert_eq!(
+            b,
+            [
+                200000.0,
+                300000.0,
+                100000.0,
+                150000.0,
+                50000.0,
+                25000.0,
+                12500.0,
+                6250.0,
+                9375.0,
+                15625.0,
+                12500.0,
+                10937.5,
+                11718.75,
+                11328.125,
+                11132.8125,
+                11230.46875,
+                11279.296875,
+                11254.8828125,
+                11267.08984375,
+                11273.193359375,
+            ]
+        );
+        assert_eq!(rb.p_sys.value(), 11273.193359375);
+        // A limit f never exceeds: 51 halvings down from P_init.
+        let (c, rc) = probe_sequence(|_| 0.0, 1.0, 0.0, &opts());
+        assert_eq!(c.len(), 52);
+        for (k, p) in c.iter().enumerate() {
+            assert_eq!(*p, 1.0e4 / 2f64.powi(k as i32));
+        }
+        assert!(rc.feasible);
     }
 
     #[test]

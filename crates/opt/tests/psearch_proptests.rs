@@ -29,7 +29,7 @@ proptest! {
         let f_min = 2.0 * (a * b).sqrt();
         let limit = f_min * margin; // feasible by construction
         let mut f = |p: Pascal| Ok(a / p.value() + b * p.value());
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), &opts()).unwrap();
+        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), Pascal::new(0.0), &opts()).unwrap();
         prop_assert!(r.feasible, "missed feasible crossing: {r:?}");
         // The returned pressure satisfies the limit...
         let at = a / r.p_sys.value() + b * r.p_sys.value();
@@ -53,7 +53,7 @@ proptest! {
         let f_min = 2.0 * (a * b).sqrt();
         let limit = f_min * shortfall; // infeasible by construction
         let mut f = |p: Pascal| Ok(a / p.value() + b * p.value());
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), &opts()).unwrap();
+        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), Pascal::new(0.0), &opts()).unwrap();
         prop_assert!(!r.feasible);
         // The certificate is (close to) the true minimum of f.
         prop_assert!(
@@ -70,7 +70,7 @@ proptest! {
     ) {
         // f(p) = a/p crosses `limit` at exactly a/limit.
         let mut f = |p: Pascal| Ok(a / p.value());
-        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), &opts()).unwrap();
+        let r = minimize_pressure_for_gradient(&mut f, Kelvin::new(limit), Pascal::new(0.0), &opts()).unwrap();
         prop_assert!(r.feasible);
         let expected = a / limit;
         prop_assert!(

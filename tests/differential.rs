@@ -7,7 +7,9 @@
 //!
 //! * every gated check passes — serde and case-file round-trips,
 //!   2RM-vs-4RM rise-relative agreement, the analytic single-channel
-//!   closed form, Algorithm 3 optimum stability across models;
+//!   closed form, Algorithm 3 optimum stability across models, and the
+//!   energy-balance pressure floor (4RM runs hotter than `T*_max` just
+//!   under `P_lb`);
 //! * the corpus fingerprint is bit-identical on a same-config replay
 //!   (the `all_identical` contract of `BENCH_diff.json`).
 
@@ -41,6 +43,13 @@ fn sweep() -> Vec<CaseReport> {
 fn corpus_slice_passes_every_gate() {
     for r in sweep() {
         assert!(r.all_ok(), "case {} failed a gate: {r:?}", r.name);
+        assert!(
+            r.energy_floor > 0.0 && r.energy_bound_ok,
+            "case {}: T_max {} K at 0.99·P_lb = {} Pa",
+            r.name,
+            r.energy_t_max,
+            0.99 * r.energy_floor
+        );
         assert!(
             r.analytic_rel_error < 1e-6,
             "case {}: flow solver drifted {} from the series closed form",
