@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the sparse-solver substrate: CG vs BiCGSTAB vs
-//! GMRES and the preconditioners, on the two matrix classes the thermal
+//! Criterion benchmarks of the sparse-solver substrate: CG vs BiCGSTAB and
+//! the preconditioners, on the two matrix classes the thermal
 //! pipeline produces (SPD pressure Laplacians, nonsymmetric
 //! advection–diffusion operators).
 
@@ -77,15 +77,6 @@ fn bench_nonsymmetric_solvers(c: &mut Criterion) {
             |bench, _| {
                 bench.iter(|| {
                     solve::bicgstab(&a, &b, &Ilu0::new(&a), &SolverOptions::default()).unwrap()
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gmres_ilu0", format!("pe{peclet}")),
-            &peclet,
-            |bench, _| {
-                bench.iter(|| {
-                    solve::gmres(&a, &b, &Ilu0::new(&a), 50, &SolverOptions::default()).unwrap()
                 });
             },
         );

@@ -21,7 +21,7 @@
 //!   (`replay_fingerprint == fingerprint`);
 //! * `ladder.wasted_attempts` — solve-ladder attempts beyond one per
 //!   solve over the base sweep (expected 0: these systems are SPD and
-//!   must solve on the first rung).
+//!   must solve on the Krylov step).
 //!
 //! `--quick` trims the corpus to a small-grid slice so the smoke step
 //! stays fast; the committed artifact at the repo root comes from a full
@@ -50,8 +50,6 @@ struct LadderSummary {
     escalations: u64,
     /// Attempts beyond one per solve (`attempts - solves`).
     wasted_attempts: u64,
-    /// Solves the diagnostics gate routed straight to the dense rung.
-    diag_routed: u64,
 }
 
 impl LadderSummary {
@@ -63,7 +61,6 @@ impl LadderSummary {
             attempts,
             escalations: after.counter_delta(before, "ladder.escalations"),
             wasted_attempts: attempts.saturating_sub(solves),
-            diag_routed: after.counter_delta(before, "ladder.diag_routed"),
         }
     }
 }

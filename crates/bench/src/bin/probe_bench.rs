@@ -39,14 +39,14 @@ struct ConfigResult {
     elapsed_s: f64,
     /// Throughput.
     probes_per_sec: f64,
-    /// Mean BiCGSTAB/GMRES iterations per probe (delta of the
+    /// Mean BiCGSTAB iterations per probe (delta of the
     /// `ladder.iterations` histogram sum; 0 under `--no-metrics`).
     mean_iterations: f64,
-    /// Solves that escalated past the ladder's first rung (delta of
+    /// Solves that fell through to the direct step (delta of
     /// `ladder.escalations`; 0 under `--no-metrics`). Nonzero values flag
     /// a matrix regime the primary solver no longer handles.
     escalations: u64,
-    /// Mean ladder attempts per probe (1.0 = first rung always
+    /// Mean solve attempts per probe (1.0 = the Krylov step always
     /// converged; 0 under `--no-metrics`).
     mean_attempts: f64,
     /// Attempts beyond the first per solve (`attempts - solves` delta):
@@ -54,9 +54,6 @@ struct ConfigResult {
     wasted_attempts: u64,
     /// Escalations per solve in the window (0 under `--no-metrics`).
     escalation_rate: f64,
-    /// Solves the diagnostics gate routed straight to the dense rung
-    /// (delta of `ladder.diag_routed`).
-    diag_routed: u64,
 }
 
 /// The artifact: enough context to compare runs across commits.
@@ -149,7 +146,6 @@ fn measure(
         } else {
             escalations as f64 / solves as f64
         },
-        diag_routed: after.counter_delta(&before, "ladder.diag_routed"),
     };
     println!(
         "  {:12} {:7.2} probes/s   {:5.1} iters/probe   {} escalations   {} wasted   \

@@ -67,9 +67,8 @@ struct RunResult {
     ladder: LadderSummary,
 }
 
-/// Escalation-tax accounting over a snapshot window: how many ladder
-/// attempts were spent beyond the first attempt of each solve, and how
-/// the diagnostics gate avoided them.
+/// Escalation-tax accounting over a snapshot window: how many solve
+/// attempts were spent beyond the first attempt of each solve.
 #[derive(Debug, Serialize)]
 struct LadderSummary {
     /// Ladder solves in the window.
@@ -83,8 +82,6 @@ struct LadderSummary {
     wasted_attempts: u64,
     /// `escalations / solves` (0 when no solves ran).
     escalation_rate: f64,
-    /// Solves the diagnostics gate routed straight to the dense rung.
-    diag_routed: u64,
 }
 
 impl LadderSummary {
@@ -102,7 +99,6 @@ impl LadderSummary {
             } else {
                 escalations as f64 / solves as f64
             },
-            diag_routed: after.counter_delta(before, "ladder.diag_routed"),
         }
     }
 }
@@ -236,13 +232,11 @@ fn run_pair(bench: &Benchmark, problem: Problem, case: usize, quick: bool, seed:
         result.cache_misses,
     );
     println!(
-        "            ladder: {} solves, {} attempts ({} wasted), esc rate {:.4}, \
-         {} routed",
+        "            ladder: {} solves, {} attempts ({} wasted), esc rate {:.4}",
         result.ladder.solves,
         result.ladder.attempts,
         result.ladder.wasted_attempts,
         result.ladder.escalation_rate,
-        result.ladder.diag_routed,
     );
     result
 }
@@ -374,13 +368,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let metrics = coolnet_obs::snapshot();
     let ladder = LadderSummary::delta(&metrics, &origin);
     println!(
-        "escalation tax: {} solves, {} attempts, {} wasted (rate {:.4}), \
-         {} routed",
-        ladder.solves,
-        ladder.attempts,
-        ladder.wasted_attempts,
-        ladder.escalation_rate,
-        ladder.diag_routed,
+        "escalation tax: {} solves, {} attempts, {} wasted (rate {:.4})",
+        ladder.solves, ladder.attempts, ladder.wasted_attempts, ladder.escalation_rate,
     );
     let artifact = SaBench {
         schedule: if quick { "quick" } else { "reduced" }.to_owned(),

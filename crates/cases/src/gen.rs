@@ -277,8 +277,8 @@ impl CaseSpec {
 
 /// Grid side lengths the sampler draws from, with repeats as weights:
 /// small dies dominate (cheap to sweep densely), 41 stays in the pool so
-/// the corpus always exercises 4RM systems above the direct rung's
-/// `DENSE_FALLBACK_CAP`, which only the Krylov rungs can solve.
+/// the corpus always exercises 4RM systems above the direct step's
+/// `DENSE_FALLBACK_CAP`, which only the Krylov step can solve.
 const GRID_POOL: [u16; 9] = [15, 15, 17, 17, 19, 21, 21, 25, 41];
 
 /// Draws `n` case specs from the documented parameter ranges (see the

@@ -1,6 +1,5 @@
 //! Hydraulic model configuration.
 
-use coolnet_sparse::SolveLadder;
 use coolnet_units::{ChannelGeometry, Coolant};
 use serde::{Deserialize, Serialize};
 
@@ -19,12 +18,6 @@ pub struct FlowConfig {
     /// the conductance) divided by this loss factor; the default of 4 makes
     /// the port conductance half the cell-to-cell one. See DESIGN.md §3.
     pub port_loss_factor: f64,
-    /// Escalation ladder for the pressure solve. The constructors install
-    /// the SPD preset (Jacobi-CG first, exactly the pre-ladder solver);
-    /// deserialized configs missing the field get the general nonsymmetric
-    /// ladder, which solves SPD systems correctly too.
-    #[serde(default)]
-    pub ladder: SolveLadder,
 }
 
 impl FlowConfig {
@@ -35,7 +28,6 @@ impl FlowConfig {
             geometry: ChannelGeometry::iccad2015(channel_height),
             coolant: Coolant::water(),
             port_loss_factor: 4.0,
-            ladder: SolveLadder::spd(),
         }
     }
 

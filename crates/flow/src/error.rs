@@ -41,7 +41,7 @@ impl From<SolveError> for FlowError {
 }
 
 impl From<coolnet_sparse::LadderError> for FlowError {
-    /// Collapses an exhausted solver ladder to its last recorded error.
+    /// Collapses an exhausted solve to its last recorded error.
     fn from(e: coolnet_sparse::LadderError) -> Self {
         FlowError::Solver(e.into())
     }

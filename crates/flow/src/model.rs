@@ -8,6 +8,7 @@ use coolnet_grid::{Cell, Dir};
 use coolnet_network::{CoolingNetwork, PortKind};
 use coolnet_obs::LazyCounter;
 use coolnet_sparse::precond::Jacobi;
+use coolnet_sparse::resilience::{self, Krylov};
 use coolnet_sparse::{SolveReport, SolveStats, SolverOptions, TripletBuilder};
 use coolnet_units::{Pascal, Watt};
 
@@ -52,9 +53,10 @@ impl FlowModel {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Solver`] if every rung of the configured
-    /// solver ladder fails (a legal network always yields an SPD system,
-    /// so this indicates tolerance starvation, not an illegal input).
+    /// Returns [`FlowError::Solver`] if both solve steps, Jacobi-CG and
+    /// then the direct LU, fail. A legal network always yields an SPD
+    /// system, so this indicates tolerance starvation, not an illegal
+    /// input.
     pub fn new(net: &CoolingNetwork, config: &FlowConfig) -> Result<Self, FlowError> {
         Self::with_widths(net, config, None)
     }
@@ -156,9 +158,8 @@ impl FlowModel {
         let matrix = builder.to_csr();
         M_ASSEMBLIES.inc();
         let options = SolverOptions::with_tolerance(1e-12);
-        let solution = config
-            .ladder
-            .solve(&matrix, &rhs, &Jacobi::new(&matrix), &options)?;
+        let solution =
+            resilience::solve(Krylov::Cg, &matrix, &rhs, &Jacobi::new(&matrix), &options)?;
         let unit_pressures = solution.solution;
 
         // System flow at unit pressure: total flow through all inlets.
@@ -291,7 +292,7 @@ impl FlowModel {
         self.stats.iterations
     }
 
-    /// Statistics of the unit pressure solve, including which ladder rung
+    /// Statistics of the unit pressure solve, including which step
     /// produced it and how many attempts were made.
     // Not a solver entry point, just a stats getter sharing the prefix.
     // analyze:allow(finite-guard)
@@ -300,7 +301,7 @@ impl FlowModel {
     }
 
     /// The attempt-by-attempt [`SolveReport`] of the unit pressure solve —
-    /// records escalations and injected faults for observability.
+    /// records direct-step rescues and injected faults for observability.
     // Not a solver entry point, just a report getter sharing the prefix.
     // analyze:allow(finite-guard)
     pub fn solve_report(&self) -> &SolveReport {

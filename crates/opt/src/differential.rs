@@ -53,7 +53,6 @@ use coolnet_flow::{FlowConfig, FlowModel};
 use coolnet_grid::{Cell, Dir, GridDims, Side};
 use coolnet_network::builders::straight::{self, StraightParams};
 use coolnet_network::{CoolingNetwork, PortKind};
-use coolnet_sparse::SolveLadder;
 use coolnet_thermal::compare::{max_absolute_error, mean_relative_error, mean_relative_rise_error};
 use coolnet_thermal::{FourRm, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
 use coolnet_units::{ChannelGeometry, Coolant, Kelvin, Pascal};
@@ -314,7 +313,6 @@ pub fn analytic_limit_error(spec: &CaseSpec) -> Result<f64, ThermalError> {
         geometry: ChannelGeometry::new(spec.pitch, spec.channel_height, spec.pitch),
         coolant: Coolant::water(),
         port_loss_factor: 4.0,
-        ladder: SolveLadder::spd(),
     };
     let model = FlowModel::new(&net, &config).map_err(ThermalError::Flow)?;
     let expected = f64::from(n - 1) / config.cell_conductance() + 2.0 / config.port_conductance();

@@ -26,7 +26,7 @@
 //!   deterministic bounded backoff, and a job that exhausts its attempts
 //!   becomes a `Failed` artifact without disturbing the shared substrate
 //!   or sibling jobs. (Deterministic non-panic outcomes — `Infeasible`
-//!   from an exhausted solve ladder — are *not* retried: re-running a
+//!   from an exhausted solve — are *not* retried: re-running a
 //!   pure function cannot change its result.)
 //!
 //! The first transport is the batch CLI (`coolnet-serve --jobs

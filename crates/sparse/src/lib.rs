@@ -10,17 +10,18 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with matrix–vector
 //!   products and structural queries;
 //! * [`DenseMatrix`] — small dense matrices with partially pivoted LU,
-//!   the reference solver tests compare the ladder's banded direct rung
-//!   against;
+//!   the reference solver tests compare the banded direct step of
+//!   [`resilience::solve`] against;
 //! * Krylov solvers: [`solve::cg`] (preconditioned conjugate gradients, for
 //!   the symmetric positive definite pressure systems) and
 //!   [`solve::bicgstab`] (for the nonsymmetric advection–diffusion thermal
 //!   systems);
 //! * preconditioners: [`precond::Identity`], [`precond::Jacobi`],
 //!   [`precond::Ilu0`];
-//! * [`SolveLadder`] — the escalation ladder the physical models solve
-//!   through (rungs of solver × preconditioner × budget, tried in order,
-//!   with a [`SolveReport`] of every attempt), plus a deterministic
+//! * [`resilience::solve`] — the fixed two-step solve the physical models
+//!   call: their [`Krylov`] solver first, then a banded direct LU for
+//!   systems of at most [`resilience::DENSE_FALLBACK_CAP`] unknowns, with
+//!   a [`SolveReport`] of every attempt, plus a deterministic
 //!   fault-injection harness (`resilience::fault`, test/feature gated).
 //!
 //! # Examples
@@ -56,7 +57,7 @@ pub mod dense;
 pub mod ops;
 /// ILU(0) and Jacobi preconditioners.
 pub mod precond;
-/// Escalation-ladder solver resilience and fault injection.
+/// The two-step solve (Krylov, then direct) and fault injection.
 pub mod resilience;
 /// CG and BiCGSTAB iterative solvers.
 pub mod solve;
@@ -64,7 +65,5 @@ pub mod solve;
 pub use coo::TripletBuilder;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use resilience::{
-    DiagnosticsGate, LadderError, LadderSolution, MatrixDiagnostics, SolveLadder, SolveReport,
-};
+pub use resilience::{Krylov, LadderError, LadderSolution, SolveReport};
 pub use solve::{Solution, SolveError, SolveStats, SolverOptions};

@@ -1,78 +1,66 @@
-//! Solver resilience: the escalation ladder and fault-injection harness.
+//! Solver resilience: the fixed two-step solve and its fault-injection
+//! harness.
 //!
 //! The SA design flows (Algorithms 1–3) evaluate dozens of candidate
 //! networks per iteration over thousands of moves, and the run-time control
 //! loop chains thousands of sequential transient solves; a single
 //! ill-conditioned candidate must cost one infeasible score, not a dead
-//! process or a wedged run. [`SolveLadder`] provides that guarantee for
-//! every linear solve backing the hydraulic and thermal models: an ordered
-//! list of [`Rung`]s (solver kind × preconditioner × budget) tried in
-//! order under a [`RetryPolicy`], returning the solution together with a
-//! [`SolveReport`] that records every attempt for observability.
+//! process or a wedged run. [`solve`](crate::resilience::solve()) provides
+//! that guarantee for every linear solve backing the hydraulic and thermal
+//! models, in two steps:
 //!
-//! [`Rung`]: crate::resilience::Rung
-//! [`RetryPolicy`]: crate::resilience::RetryPolicy
+//! 0. the model's Krylov solver ([`Cg`](crate::Krylov::Cg) for the SPD
+//!    pressure systems of Eq. (3), [`Bicgstab`](crate::Krylov::Bicgstab)
+//!    for the advection–diffusion thermal systems of Eq. (6)) with the
+//!    caller's preconditioner and [`SolverOptions`] passed through
+//!    unchanged, so a solve that converges here has the plain solver
+//!    call's bits;
+//! 1. a partially pivoted LU factored inside the matrix's bandwidth
+//!    (`dense::band_solve`), for systems of at most
+//!    [`DENSE_FALLBACK_CAP`](crate::resilience::DENSE_FALLBACK_CAP)
+//!    unknowns: for lower/upper bandwidths `kl`/`ku` it costs
+//!    `O(n·kl·(kl+ku))` time and `n·(2·kl+ku+1)` storage, and returns the
+//!    result bits of the `n × n` reference [`crate::DenseMatrix::solve`].
+//!    Larger systems record the step as skipped.
 //!
-//! Two presets cover the workspace's systems:
-//!
-//! * [`SolveLadder::spd`] — for the symmetric positive definite pressure
-//!   systems of Eq. (3): CG first, then ILU(0)-BiCGSTAB, restarted GMRES,
-//!   and finally a direct LU below a size cap;
-//! * [`SolveLadder::nonsymmetric`] (the [`Default`]) — for the
-//!   advection–diffusion thermal systems of Eq. (6): BiCGSTAB first, then
-//!   GMRES with an escalating restart, then the direct LU.
-//!
-//! The terminal direct rung factors the system inside its bandwidth
-//! (`dense::band_solve`): for lower/upper bandwidths `kl`/`ku` it costs
-//! `O(n·kl·(kl+ku))` time and `n·(2·kl+ku+1)` storage, and returns the
-//! result bits of the `n × n` reference [`crate::DenseMatrix::solve`].
-//!
-//! The first rung of each preset reproduces the exact solver call the
-//! models made before the ladder existed, so the no-fault fast path is
-//! numerically identical to the historical behavior.
+//! Every candidate solution is checked for finite entries before it is
+//! accepted, and the result carries a [`SolveReport`] of every attempt.
 //!
 //! The companion `fault` module (compiled under `cfg(test)` or the
 //! `fault-inject` feature) injects deterministic failures at chosen
-//! attempt indices so tests can force every rung — including the terminal
-//! dense fallback — and prove the whole stack degrades gracefully.
+//! attempt indices so tests can force the direct step, or exhaust both,
+//! and prove the whole stack degrades gracefully.
 
 use crate::csr::CsrMatrix;
 use crate::dense;
 use crate::ops;
-use crate::precond::{Identity, Ilu0, Jacobi, Preconditioner};
+use crate::precond::Preconditioner;
 use crate::solve::{self, Solution, SolveError, SolveStats, SolverOptions};
 use coolnet_obs::{LazyCounter, LazyHistogram};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
-/// Ladder solves that returned a solution.
+/// Solves that returned a solution.
 static M_SOLVES: LazyCounter = LazyCounter::new("ladder.solves");
 /// Solver attempts actually run (skips excluded), successful or not.
 static M_ATTEMPTS: LazyCounter = LazyCounter::new("ladder.attempts");
 /// Solves that needed more than their first attempt.
 static M_ESCALATIONS: LazyCounter = LazyCounter::new("ladder.escalations");
-/// Solves for which every rung failed or was inapplicable.
+/// Solves for which both steps failed or were inapplicable.
 static M_EXHAUSTED: LazyCounter = LazyCounter::new("ladder.exhausted");
 /// Attempts whose outcome was forced by the fault-injection harness.
 static M_INJECTED: LazyCounter = LazyCounter::new("ladder.injected_faults");
 /// Iterations of each successful solve (from [`SolveStats`]).
 static M_ITERATIONS: LazyHistogram = LazyHistogram::new("ladder.iterations");
-/// Per-rung convergence outcomes; rungs past the array share the last slot
-/// (no preset ladder is that deep).
-static M_RUNG_CONVERGED: [LazyCounter; 5] = [
+/// Per-step convergence outcomes: the Krylov step, then the direct step.
+static M_RUNG_CONVERGED: [LazyCounter; 2] = [
     LazyCounter::new("ladder.rung0_converged"),
     LazyCounter::new("ladder.rung1_converged"),
-    LazyCounter::new("ladder.rung2_converged"),
-    LazyCounter::new("ladder.rung3_converged"),
-    LazyCounter::new("ladder.rung4plus_converged"),
 ];
-/// Solves the diagnostics gate routed straight to the terminal dense rung.
-static M_DIAG_ROUTED: LazyCounter = LazyCounter::new("ladder.diag_routed");
 
-/// Eagerly registers every ladder metric so snapshots report explicit
+/// Eagerly registers every solve metric so snapshots report explicit
 /// zeros for counters that have not fired (e.g. `ladder.rung1_converged`
-/// on a run where no solve ever converged on rung 1). Without this,
+/// on a run where no solve needed the direct step). Without this,
 /// "never fired" and "not instrumented" are indistinguishable in an
 /// exported [`coolnet_obs::MetricsSnapshot`].
 fn register_metrics() {
@@ -87,250 +75,55 @@ fn register_metrics() {
         for c in &M_RUNG_CONVERGED {
             c.register();
         }
-        M_DIAG_ROUTED.register();
     });
 }
 
-/// Default dimension cap for the terminal dense-LU rung, an upper bound on
-/// the unknown count `n`. The rung factors inside the matrix's bandwidth,
-/// `O(n·kl·(kl+ku))` rather than `O(n³)`; the cap still bounds `n`, not
-/// the band, so a wide-band system near the cap costs close to a full
-/// dense factorization.
+/// Largest unknown count `n` the direct step takes. The step factors
+/// inside the matrix's bandwidth, `O(n·kl·(kl+ku))` rather than `O(n³)`;
+/// the cap still bounds `n`, not the band, so a wide-band system near the
+/// cap costs close to a full dense factorization.
 pub const DENSE_FALLBACK_CAP: usize = 4096;
 
-/// Which Krylov (or direct) solver a [`Rung`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverKind {
-    /// Preconditioned conjugate gradients ([`solve::cg`]); SPD systems only.
+/// The Krylov solver step 0 of [`solve()`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Krylov {
+    /// Preconditioned conjugate gradients ([`cg`](crate::solve::cg)); SPD systems only.
     Cg,
-    /// Preconditioned BiCGSTAB ([`solve::bicgstab`]).
+    /// Preconditioned BiCGSTAB ([`bicgstab`](crate::solve::bicgstab)).
     Bicgstab,
-    /// Restarted GMRES ([`solve::gmres`]) with the given restart length.
-    Gmres {
-        /// Krylov subspace dimension between restarts (`0` selects 50).
-        restart: usize,
-    },
-    /// Partially pivoted LU, factored inside the matrix's bandwidth with the
-    /// result bits of a dense LU; only attempted when the system dimension
-    /// is at most `max_dim` (the rung is recorded as skipped otherwise).
-    DenseLu {
-        /// Largest dimension this rung accepts.
-        max_dim: usize,
-    },
+}
+
+/// The solver an [`Attempt`] ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverKind {
+    /// Step 0 with [`Krylov::Cg`].
+    Cg,
+    /// Step 0 with [`Krylov::Bicgstab`].
+    Bicgstab,
+    /// Step 1: the banded LU with the result bits of a dense LU.
+    DenseLu,
+}
+
+impl From<Krylov> for SolverKind {
+    fn from(k: Krylov) -> Self {
+        match k {
+            Krylov::Cg => SolverKind::Cg,
+            Krylov::Bicgstab => SolverKind::Bicgstab,
+        }
+    }
 }
 
 impl fmt::Display for SolverKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverKind::Cg => f.write_str("cg"),
-            SolverKind::Bicgstab => f.write_str("bicgstab"),
-            SolverKind::Gmres { restart } => write!(f, "gmres({restart})"),
-            SolverKind::DenseLu { max_dim } => write!(f, "dense-lu(≤{max_dim})"),
-        }
+        f.write_str(match self {
+            SolverKind::Cg => "cg",
+            SolverKind::Bicgstab => "bicgstab",
+            SolverKind::DenseLu => "dense-lu",
+        })
     }
 }
 
-/// Which preconditioner a [`Rung`] pairs with its solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PrecondSpec {
-    /// The preconditioner the caller passed to [`SolveLadder::solve`]
-    /// (e.g. a cached ILU(0) factorization on the probe path).
-    Caller,
-    /// No preconditioning.
-    Identity,
-    /// Diagonal (Jacobi) scaling, built from the matrix per attempt.
-    Jacobi,
-    /// A fresh ILU(0) factorization, built from the matrix per attempt —
-    /// recovers from a stale or poisoned caller preconditioner.
-    Ilu0,
-}
-
-impl fmt::Display for PrecondSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PrecondSpec::Caller => f.write_str("caller"),
-            PrecondSpec::Identity => f.write_str("identity"),
-            PrecondSpec::Jacobi => f.write_str("jacobi"),
-            PrecondSpec::Ilu0 => f.write_str("ilu0"),
-        }
-    }
-}
-
-/// One step of the escalation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Rung {
-    /// Solver to run.
-    pub solver: SolverKind,
-    /// Preconditioner to pair it with.
-    pub precond: PrecondSpec,
-    /// Multiplier on the caller's residual tolerance (`1.0` keeps it).
-    pub tolerance_factor: f64,
-    /// Multiplier on the caller's iteration budget (`1.0` keeps it).
-    pub iteration_factor: f64,
-}
-
-impl Rung {
-    /// A rung at the caller's unchanged tolerance and iteration budget.
-    pub fn new(solver: SolverKind, precond: PrecondSpec) -> Self {
-        Self {
-            solver,
-            precond,
-            tolerance_factor: 1.0,
-            iteration_factor: 1.0,
-        }
-    }
-}
-
-/// How the ladder retries and loosens within each rung.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Attempts per rung before escalating. The default of `1` makes the
-    /// ladder a pure escalation cascade (no within-rung retries), which
-    /// keeps the no-fault path identical to the pre-ladder solvers.
-    pub attempts_per_rung: usize,
-    /// Multiplier applied to the effective tolerance on each retry within
-    /// a rung (loosening; only meaningful with `attempts_per_rung > 1`).
-    pub tolerance_growth: f64,
-    /// Ceiling the loosened tolerance may never exceed (clamped to at
-    /// least the caller's requested tolerance).
-    pub max_tolerance: f64,
-}
-
-impl Default for RetryPolicy {
-    /// One attempt per rung; retries (if enabled) loosen 10× up to `1e-4`.
-    fn default() -> Self {
-        Self {
-            attempts_per_rung: 1,
-            tolerance_growth: 10.0,
-            max_tolerance: 1e-4,
-        }
-    }
-}
-
-/// Cheap structural diagnostics of a system matrix, measured in one
-/// `O(nnz)` pass (negligible next to any Krylov solve on the same matrix).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixDiagnostics {
-    /// System dimension (rows).
-    pub dim: usize,
-    /// Smallest `|a_ii|` over all rows (`0` flags a structural zero pivot).
-    pub min_abs_diag: f64,
-    /// Largest `|a_ii|` over all rows.
-    pub max_abs_diag: f64,
-    /// Minimum per-row dominance `|a_ii| / Σ_{j≠i} |a_ij|`
-    /// (`∞` for rows without off-diagonals).
-    pub min_row_dominance: f64,
-    /// Net diagonal dominance `Σ_i (|a_ii| − Σ_{j≠i} |a_ij|) / Σ_i |a_ii|`
-    /// (`0` for an all-zero diagonal). Conservation-law operators (flow
-    /// and thermal balances alike) have interior rows that cancel exactly,
-    /// so this measures the *boundary* coupling that makes the system
-    /// solvable; values near zero flag a numerically singular system.
-    pub net_dominance: f64,
-}
-
-impl MatrixDiagnostics {
-    /// Measures `a`.
-    pub fn measure(a: &CsrMatrix) -> Self {
-        let n = a.rows();
-        let mut min_abs_diag = f64::INFINITY;
-        let mut max_abs_diag = 0.0_f64;
-        let mut min_row_dominance = f64::INFINITY;
-        let mut total_excess = 0.0_f64;
-        let mut total_diag = 0.0_f64;
-        for r in 0..n {
-            let (cols, vals) = a.row(r);
-            let mut d = 0.0;
-            let mut off = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c as usize == r {
-                    d += v.abs();
-                } else {
-                    off += v.abs();
-                }
-            }
-            min_abs_diag = min_abs_diag.min(d);
-            max_abs_diag = max_abs_diag.max(d);
-            let dominance = if off > 0.0 { d / off } else { f64::INFINITY };
-            min_row_dominance = min_row_dominance.min(dominance);
-            total_excess += d - off;
-            total_diag += d;
-        }
-        let net_dominance = if total_diag > 0.0 {
-            total_excess / total_diag
-        } else {
-            0.0
-        };
-        Self {
-            dim: n,
-            min_abs_diag: if n == 0 { 0.0 } else { min_abs_diag },
-            max_abs_diag,
-            min_row_dominance,
-            net_dominance,
-        }
-    }
-}
-
-/// Routes pathological systems straight to the terminal dense rung instead
-/// of burning the Krylov rungs that cannot converge on them.
-///
-/// The gate is *conservative by construction*: it only fires on systems
-/// whose [`MatrixDiagnostics`] mark them numerically singular — where the
-/// Krylov rungs fail within any realistic budget and the escalation would
-/// have ended at the dense rung anyway. Routing therefore reproduces the
-/// escalated solve's solution bit for bit (dense LU ignores the initial
-/// guess and tolerance), just without the dead attempts. Systems the gate
-/// misses still escalate normally from rung 0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiagnosticsGate {
-    /// Whether the gate routes at all (default `true`).
-    #[serde(default = "default_gate_enabled")]
-    pub enabled: bool,
-    /// Systems with `|net_dominance|` below this are treated as
-    /// numerically singular. The default sits in the measured gap between
-    /// the workspace's escalating thermal probes (`≤ 2.3e-9`, conduction
-    /// Laplacians whose advection vanishes at the lowest probed pressures)
-    /// and the weakest healthy solves (`≥ 4.2e-9`).
-    #[serde(default = "default_singular_net_dominance")]
-    pub singular_net_dominance: f64,
-}
-
-fn default_gate_enabled() -> bool {
-    true
-}
-
-fn default_singular_net_dominance() -> f64 {
-    3e-9
-}
-
-impl Default for DiagnosticsGate {
-    fn default() -> Self {
-        Self {
-            enabled: default_gate_enabled(),
-            singular_net_dominance: default_singular_net_dominance(),
-        }
-    }
-}
-
-impl DiagnosticsGate {
-    /// A gate that never routes (pure escalation-ladder behavior).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Whether `d` marks a system this gate routes to the dense rung.
-    pub fn routes(&self, d: &MatrixDiagnostics) -> bool {
-        self.enabled
-            && d.dim > 0
-            && (d.min_abs_diag <= 0.0
-                || !d.net_dominance.is_finite()
-                || d.net_dominance.abs() < self.singular_net_dominance)
-    }
-}
-
-/// Outcome of one ladder attempt, recorded in a [`SolveReport`].
+/// Outcome of one attempt, recorded in a [`SolveReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// The solver converged.
@@ -342,31 +135,27 @@ pub enum AttemptOutcome {
     },
     /// The solver failed with the given error.
     Failed(SolveError),
-    /// The rung was not applicable and no solver ran.
+    /// The step was not applicable and no solver ran.
     Skipped {
-        /// Why the rung was skipped (e.g. over the dense size cap).
+        /// Why the step was skipped (over the dense size cap).
         reason: String,
     },
 }
 
-/// One attempted (or skipped) rung execution.
+/// One attempted (or skipped) step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attempt {
-    /// Ladder rung index.
+    /// Step index: `0` for the Krylov step, `1` for the direct step.
     pub rung: usize,
-    /// Solver the rung ran.
+    /// Solver the step ran.
     pub solver: SolverKind,
-    /// Preconditioner the rung paired with it.
-    pub precond: PrecondSpec,
-    /// Effective relative tolerance of this attempt.
-    pub tolerance: f64,
     /// Whether the fault-injection harness forced this attempt's outcome.
     pub injected: bool,
     /// What happened.
     pub outcome: AttemptOutcome,
 }
 
-/// The attempt-by-attempt record of one [`SolveLadder::solve`] call.
+/// The attempt-by-attempt record of one [`solve()`] call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveReport {
     /// Every attempt in execution order, skips included.
@@ -382,7 +171,7 @@ impl SolveReport {
             .count()
     }
 
-    /// The rung index that converged, if any.
+    /// The step index that converged, if any.
     pub fn succeeded_rung(&self) -> Option<usize> {
         self.attempts
             .iter()
@@ -409,7 +198,7 @@ impl SolveReport {
     }
 }
 
-/// A solution produced by the ladder: the vector, its [`SolveStats`]
+/// A solution produced by [`solve()`]: the vector, its [`SolveStats`]
 /// (with `rung`/`attempts` filled in), and the full [`SolveReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderSolution {
@@ -421,10 +210,10 @@ pub struct LadderSolution {
     pub report: SolveReport,
 }
 
-/// Every rung failed (or was inapplicable); carries the full record.
+/// Both steps failed (or were inapplicable); carries the full record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderError {
-    /// The attempt-by-attempt record of the exhausted ladder.
+    /// The attempt-by-attempt record of the exhausted solve.
     pub report: SolveReport,
 }
 
@@ -433,11 +222,11 @@ impl fmt::Display for LadderError {
         match self.report.last_error() {
             Some(e) => write!(
                 f,
-                "solver ladder exhausted after {} attempts over {} rungs; last error: {e}",
+                "solve exhausted after {} attempts over {} steps; last error: {e}",
                 self.report.tried(),
                 self.report.attempts.len(),
             ),
-            None => f.write_str("solver ladder has no applicable rungs"),
+            None => f.write_str("solve has no applicable steps"),
         }
     }
 }
@@ -464,292 +253,148 @@ impl From<LadderError> for SolveError {
     }
 }
 
-/// The ordered escalation ladder plus its retry policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SolveLadder {
-    /// Rungs tried in order.
-    pub rungs: Vec<Rung>,
-    /// Within-rung retry/loosening policy.
-    pub policy: RetryPolicy,
-    /// Diagnostics gate routing numerically singular systems straight to
-    /// the terminal dense rung (configs serialized before this field
-    /// existed deserialize to the default, enabled gate).
-    #[serde(default)]
-    pub gate: DiagnosticsGate,
-}
-
-impl Default for SolveLadder {
-    /// The [`nonsymmetric`](Self::nonsymmetric) ladder — safe for every
-    /// matrix class the workspace produces.
-    fn default() -> Self {
-        Self::nonsymmetric()
-    }
-}
-
-impl SolveLadder {
-    /// Ladder for symmetric positive definite systems (the pressure solve
-    /// of Eq. (3)): CG with the caller's preconditioner, then
-    /// ILU(0)-BiCGSTAB, then restarted GMRES, then dense LU.
-    pub fn spd() -> Self {
-        Self {
-            rungs: vec![
-                Rung::new(SolverKind::Cg, PrecondSpec::Caller),
-                Rung::new(SolverKind::Bicgstab, PrecondSpec::Ilu0),
-                Rung::new(SolverKind::Gmres { restart: 60 }, PrecondSpec::Ilu0),
-                Rung::new(
-                    SolverKind::DenseLu {
-                        max_dim: DENSE_FALLBACK_CAP,
-                    },
-                    PrecondSpec::Caller,
-                ),
-            ],
-            policy: RetryPolicy::default(),
-            gate: DiagnosticsGate::default(),
-        }
-    }
-
-    /// Ladder for nonsymmetric advection–diffusion systems (the thermal
-    /// solve of Eq. (6)): BiCGSTAB, then GMRES with an escalating restart,
-    /// then dense LU — the same cascade `thermal::assembly` used before
-    /// this layer existed, with one extra long-restart GMRES rung.
-    pub fn nonsymmetric() -> Self {
-        Self {
-            rungs: vec![
-                Rung::new(SolverKind::Bicgstab, PrecondSpec::Caller),
-                Rung::new(SolverKind::Gmres { restart: 60 }, PrecondSpec::Caller),
-                Rung::new(SolverKind::Gmres { restart: 150 }, PrecondSpec::Ilu0),
-                Rung::new(
-                    SolverKind::DenseLu {
-                        max_dim: DENSE_FALLBACK_CAP,
-                    },
-                    PrecondSpec::Caller,
-                ),
-            ],
-            policy: RetryPolicy::default(),
-            gate: DiagnosticsGate::default(),
-        }
-    }
-
-    /// Solves `A·x = b`, trying rungs in order until one converges.
-    ///
-    /// `caller` is the preconditioner rungs with [`PrecondSpec::Caller`]
-    /// use (typically a cached ILU(0) factorization); other specs build
-    /// their own from `a`. Every candidate solution is checked for finite
-    /// entries before being accepted, so NaN-poisoned arithmetic escalates
-    /// instead of propagating.
-    ///
-    /// The solve is a pure function of its arguments: the only
-    /// starting-rung shortcut is the stateless [`DiagnosticsGate`], which
-    /// sends a numerically singular system straight to the terminal dense
-    /// rung and falls back to the full cascade from rung 0 if that rung
-    /// fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LadderError`] with the full [`SolveReport`] when every
-    /// rung fails or is inapplicable.
-    pub fn solve(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-    ) -> Result<LadderSolution, LadderError> {
-        // Output finiteness is guarded per attempt inside the rung loop;
-        // here only the system shape is validated.
-        assert_eq!(a.rows(), b.len(), "rhs length must match the system");
-        register_metrics();
-        let plan = PlanState::current();
-        let mut report = SolveReport::default();
-
-        if let Some(terminal) = self.gate_route(a) {
-            M_DIAG_ROUTED.inc();
-            if let Some(sol) = self.try_rung(terminal, a, b, caller, options, &plan, &mut report) {
-                return Ok(self.finish(sol, terminal, report));
-            }
-        }
-
-        for ri in 0..self.rungs.len() {
-            if let Some(sol) = self.try_rung(ri, a, b, caller, options, &plan, &mut report) {
-                return Ok(self.finish(sol, ri, report));
-            }
-        }
-        M_EXHAUSTED.inc();
-        M_ATTEMPTS.add(report.tried() as u64);
-        M_INJECTED.add(report.injected_faults() as u64);
-        Err(LadderError { report })
-    }
-
-    /// The rung the diagnostics gate routes `a` to, if it routes at all:
-    /// the last rung, provided it is a dense LU that accepts `a` and is
-    /// not already rung 0.
-    fn gate_route(&self, a: &CsrMatrix) -> Option<usize> {
-        if !self.gate.enabled {
-            return None;
-        }
-        let (ri, rung) = self.rungs.iter().enumerate().next_back()?;
-        match rung.solver {
-            SolverKind::DenseLu { max_dim }
-                if ri > 0
-                    && a.rows() <= max_dim
-                    && self.gate.routes(&MatrixDiagnostics::measure(a)) =>
-            {
-                Some(ri)
-            }
-            _ => None,
-        }
-    }
-
-    /// Runs every retry of rung `ri`, recording each attempt (or the skip)
-    /// in `report`; returns the solution if one attempt converged.
-    #[allow(clippy::too_many_arguments)]
-    fn try_rung(
-        &self,
-        ri: usize,
-        a: &CsrMatrix,
-        b: &[f64],
-        caller: &dyn Preconditioner,
-        options: &SolverOptions,
-        plan: &PlanState,
-        report: &mut SolveReport,
-    ) -> Option<Solution> {
-        let rung = &self.rungs[ri];
-        let n = a.rows();
-        let attempts_per_rung = self.policy.attempts_per_rung.max(1);
-        let ceiling = self.policy.max_tolerance.max(options.tolerance);
-        if let SolverKind::DenseLu { max_dim } = rung.solver {
-            if n > max_dim {
-                report.attempts.push(Attempt {
-                    rung: ri,
-                    solver: rung.solver,
-                    precond: rung.precond,
-                    tolerance: options.tolerance,
-                    injected: false,
-                    outcome: AttemptOutcome::Skipped {
-                        reason: format!("{n} unknowns exceed the {max_dim}-unknown dense cap"),
-                    },
-                });
-                return None;
-            }
-        }
-        let built: Option<Box<dyn Preconditioner>> = match rung.precond {
-            PrecondSpec::Caller => None,
-            PrecondSpec::Identity => Some(Box::new(Identity::new(n))),
-            PrecondSpec::Jacobi => Some(Box::new(Jacobi::new(a))),
-            PrecondSpec::Ilu0 => Some(Box::new(Ilu0::new(a))),
-        };
-        let m: &dyn Preconditioner = match &built {
-            Some(p) => p.as_ref(),
-            None => caller,
-        };
-
-        for retry in 0..attempts_per_rung {
-            let tolerance = (options.tolerance
-                * rung.tolerance_factor
-                * self.policy.tolerance_growth.powi(retry as i32))
-            .min(ceiling);
-            let mut opts = options.clone();
-            opts.tolerance = tolerance;
-            opts.max_iterations =
-                (((options.cap(n) as f64) * rung.iteration_factor).ceil() as usize).max(1);
-
-            let inject = plan.next();
-            let injected = inject.is_some();
-            let result = match inject {
-                Some(Inject::Fail(e)) => Err(e),
-                other => run_rung(rung.solver, a, b, m, &opts).and_then(|mut sol| {
-                    if matches!(other, Some(Inject::Poison)) {
-                        if let Some(x0) = sol.solution.first_mut() {
-                            *x0 = f64::NAN;
-                        }
-                    }
-                    if sol.solution.iter().all(|v| v.is_finite()) {
-                        Ok(sol)
-                    } else {
-                        Err(SolveError::NonFinite)
-                    }
-                }),
-            };
-            match result {
-                Ok(sol) => {
-                    report.attempts.push(Attempt {
-                        rung: ri,
-                        solver: rung.solver,
-                        precond: rung.precond,
-                        tolerance,
-                        injected,
-                        outcome: AttemptOutcome::Converged {
-                            iterations: sol.stats.iterations,
-                            residual: sol.stats.residual,
-                        },
-                    });
-                    return Some(sol);
-                }
-                Err(e) => {
-                    report.attempts.push(Attempt {
-                        rung: ri,
-                        solver: rung.solver,
-                        precond: rung.precond,
-                        tolerance,
-                        injected,
-                        outcome: AttemptOutcome::Failed(e),
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Stamps stats, records the success metrics and packages the result.
-    fn finish(&self, sol: Solution, ri: usize, report: SolveReport) -> LadderSolution {
-        let stats = SolveStats {
-            rung: ri,
-            attempts: report.tried(),
-            ..sol.stats
-        };
-        M_SOLVES.inc();
-        M_ATTEMPTS.add(stats.attempts as u64);
-        M_ESCALATIONS.add(u64::from(report.escalated()));
-        M_INJECTED.add(report.injected_faults() as u64);
-        M_ITERATIONS.record(stats.iterations as u64);
-        M_RUNG_CONVERGED[ri.min(M_RUNG_CONVERGED.len() - 1)].inc();
-        LadderSolution {
-            solution: sol.solution,
-            stats,
-            report,
-        }
-    }
-}
-
-/// Dispatches one rung's solver.
-fn run_rung(
-    kind: SolverKind,
+/// Solves `A·x = b`: the `krylov` solver with the `caller` preconditioner
+/// and `options` first, then, if that fails and `n ≤`
+/// [`DENSE_FALLBACK_CAP`], the direct step.
+///
+/// Every candidate solution is checked for finite entries before it is
+/// accepted, so NaN-poisoned arithmetic falls through to the direct step
+/// instead of propagating. The solve is a pure function of its arguments.
+///
+/// # Errors
+///
+/// Returns [`LadderError`] with the full [`SolveReport`] when both steps
+/// fail or the direct step does not apply.
+pub fn solve(
+    krylov: Krylov,
     a: &CsrMatrix,
     b: &[f64],
-    m: &dyn Preconditioner,
+    caller: &dyn Preconditioner,
     options: &SolverOptions,
-) -> Result<Solution, SolveError> {
-    match kind {
-        SolverKind::Cg => solve::cg(a, b, m, options),
-        SolverKind::Bicgstab => solve::bicgstab(a, b, m, options),
-        SolverKind::Gmres { restart } => solve::gmres(a, b, m, restart, options),
-        SolverKind::DenseLu { .. } => {
-            let x = dense::band_solve(a, b)?;
-            let b_norm = ops::norm2(b);
-            let residual = if b_norm > 0.0 {
-                a.residual_norm(&x, b) / b_norm
-            } else {
-                0.0
-            };
-            Ok(Solution {
-                solution: x,
-                stats: SolveStats {
-                    iterations: 0,
-                    residual,
-                    ..SolveStats::default()
-                },
-            })
+) -> Result<LadderSolution, LadderError> {
+    // Output finiteness is guarded per attempt; here only the system
+    // shape is validated.
+    assert_eq!(a.rows(), b.len(), "rhs length must match the system");
+    register_metrics();
+    let plan = PlanState::current();
+    let mut report = SolveReport::default();
+
+    let solved = attempt(0, krylov.into(), &plan, &mut report, || match krylov {
+        Krylov::Cg => solve::cg(a, b, caller, options),
+        Krylov::Bicgstab => solve::bicgstab(a, b, caller, options),
+    });
+    if let Some(sol) = solved {
+        return Ok(finish(sol, 0, report));
+    }
+    let n = a.rows();
+    if n <= DENSE_FALLBACK_CAP {
+        if let Some(sol) = attempt(1, SolverKind::DenseLu, &plan, &mut report, || direct(a, b)) {
+            return Ok(finish(sol, 1, report));
         }
+    } else {
+        report.attempts.push(Attempt {
+            rung: 1,
+            solver: SolverKind::DenseLu,
+            injected: false,
+            outcome: AttemptOutcome::Skipped {
+                reason: format!("{n} unknowns exceed the {DENSE_FALLBACK_CAP}-unknown dense cap"),
+            },
+        });
+    }
+    M_EXHAUSTED.inc();
+    M_ATTEMPTS.add(report.tried() as u64);
+    M_INJECTED.add(report.injected_faults() as u64);
+    Err(LadderError { report })
+}
+
+/// The direct step on its own: `A·x = b` by the banded LU, with the
+/// result bits of [`crate::DenseMatrix::solve`] and the relative residual
+/// in its [`SolveStats`]. No size cap and no finiteness guard apply here;
+/// [`solve()`] adds both.
+///
+/// # Errors
+///
+/// Exactly those of [`crate::DenseMatrix::solve`].
+pub fn direct(a: &CsrMatrix, b: &[f64]) -> Result<Solution, SolveError> {
+    let x = dense::band_solve(a, b)?;
+    let b_norm = ops::norm2(b);
+    let residual = if b_norm > 0.0 {
+        a.residual_norm(&x, b) / b_norm
+    } else {
+        0.0
+    };
+    Ok(Solution {
+        solution: x,
+        stats: SolveStats {
+            iterations: 0,
+            residual,
+            ..SolveStats::default()
+        },
+    })
+}
+
+/// Runs step `rung` under the fault plan and the finiteness guard,
+/// recording the attempt in `report`; returns the solution if it converged.
+fn attempt(
+    rung: usize,
+    solver: SolverKind,
+    plan: &PlanState,
+    report: &mut SolveReport,
+    run: impl FnOnce() -> Result<Solution, SolveError>,
+) -> Option<Solution> {
+    let inject = plan.next();
+    let injected = inject.is_some();
+    let result = match inject {
+        Some(Inject::Fail(e)) => Err(e),
+        other => run().and_then(|mut sol| {
+            if matches!(other, Some(Inject::Poison)) {
+                if let Some(x0) = sol.solution.first_mut() {
+                    *x0 = f64::NAN;
+                }
+            }
+            if sol.solution.iter().all(|v| v.is_finite()) {
+                Ok(sol)
+            } else {
+                Err(SolveError::NonFinite)
+            }
+        }),
+    };
+    let (outcome, solution) = match result {
+        Ok(sol) => (
+            AttemptOutcome::Converged {
+                iterations: sol.stats.iterations,
+                residual: sol.stats.residual,
+            },
+            Some(sol),
+        ),
+        Err(e) => (AttemptOutcome::Failed(e), None),
+    };
+    report.attempts.push(Attempt {
+        rung,
+        solver,
+        injected,
+        outcome,
+    });
+    solution
+}
+
+/// Stamps stats, records the success metrics and packages the result.
+fn finish(sol: Solution, rung: usize, report: SolveReport) -> LadderSolution {
+    let stats = SolveStats {
+        rung,
+        attempts: report.tried(),
+        ..sol.stats
+    };
+    M_SOLVES.inc();
+    M_ATTEMPTS.add(stats.attempts as u64);
+    M_ESCALATIONS.add(u64::from(report.escalated()));
+    M_INJECTED.add(report.injected_faults() as u64);
+    M_ITERATIONS.record(stats.iterations as u64);
+    M_RUNG_CONVERGED[rung].inc();
+    LadderSolution {
+        solution: sol.solution,
+        stats,
+        report,
     }
 }
 
@@ -801,9 +446,9 @@ impl PlanState {
     }
 }
 
-/// Deterministic fault injection for the escalation ladder.
+/// Deterministic fault injection for [`solve()`](super::solve).
 ///
-/// A [`FaultPlan`] maps global *attempt indices* (every ladder attempt in
+/// A [`FaultPlan`] maps global *attempt indices* (every solve attempt in
 /// the process ticks one shared counter while a plan is active) to
 /// [`FaultKind`]s. Activate a plan with [`inject`]; the returned
 /// [`FaultScope`] deactivates it on drop and holds a process-wide gate so
@@ -831,7 +476,7 @@ pub mod fault {
         /// [`SolveError::NotConverged`]: crate::solve::SolveError::NotConverged
         NotConverged,
         /// The solver runs, then its solution is poisoned with a NaN —
-        /// exercising the ladder's finiteness guard.
+        /// exercising the solve's finiteness guard.
         PoisonNan,
     }
 
@@ -875,7 +520,7 @@ pub mod fault {
             fault
         }
 
-        /// How many ladder attempts consulted this plan.
+        /// How many solve attempts consulted this plan.
         pub fn consulted(&self) -> usize {
             self.cursor.load(Ordering::Relaxed)
         }
@@ -928,6 +573,7 @@ mod tests {
     use super::*;
     use crate::coo::TripletBuilder;
     use crate::dense::tests::near_singular;
+    use crate::precond::{Identity, Ilu0, Jacobi};
 
     /// Nonsymmetric advection–diffusion matrix (same as solve.rs tests).
     fn advection(n: usize, peclet: f64) -> CsrMatrix {
@@ -966,24 +612,27 @@ mod tests {
         }
     }
 
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn no_fault_path_succeeds_on_first_rung() {
         let a = advection(40, 2.0);
         let b = rhs(40);
         let plan = FaultPlan::none();
         let _scope = fault::inject(&plan);
-        let sol = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
+        let opts = SolverOptions::default();
+        let sol = solve(Krylov::Bicgstab, &a, &b, &Ilu0::new(&a), &opts).unwrap();
         assert_eq!(sol.stats.rung, 0);
         assert_eq!(sol.stats.attempts, 1);
         assert_eq!(sol.report.succeeded_rung(), Some(0));
         assert!(!sol.report.escalated());
         assert_eq!(sol.report.injected_faults(), 0);
         check_close(&a, &sol.solution, &b);
-        // The first rung reproduces the direct solver call bit for bit.
-        let direct = solve::bicgstab(&a, &b, &Ilu0::new(&a), &SolverOptions::default()).unwrap();
-        assert_eq!(sol.solution, direct.solution);
+        // The first step is the plain solver call, bit for bit.
+        let plain = solve::bicgstab(&a, &b, &Ilu0::new(&a), &opts).unwrap();
+        assert_eq!(sol.solution, plain.solution);
     }
 
     #[test]
@@ -992,10 +641,16 @@ mod tests {
         let b = rhs(30);
         let plan = FaultPlan::none();
         let _scope = fault::inject(&plan);
-        let sol = SolveLadder::spd()
-            .solve(&a, &b, &Jacobi::new(&a), &SolverOptions::default())
-            .unwrap();
+        let sol = solve(
+            Krylov::Cg,
+            &a,
+            &b,
+            &Jacobi::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
         assert_eq!(sol.stats.rung, 0);
+        assert_eq!(sol.report.attempts[0].solver, SolverKind::Cg);
         check_close(&a, &sol.solution, &b);
     }
 
@@ -1003,38 +658,44 @@ mod tests {
     fn every_rung_recovers_from_faults_below_it() {
         let a = advection(40, 2.0);
         let b = rhs(40);
-        let ladder = SolveLadder::nonsymmetric();
-        for k in 1..=3 {
-            let plan = FaultPlan::fail_first(k, FaultKind::Breakdown);
-            let _scope = fault::inject(&plan);
-            let sol = ladder
-                .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-                .unwrap();
-            assert_eq!(sol.stats.rung, k, "expected rung {k}");
-            assert_eq!(sol.stats.attempts, k + 1);
-            assert_eq!(sol.report.succeeded_rung(), Some(k));
-            assert!(sol.report.escalated());
-            assert_eq!(sol.report.injected_faults(), k);
-            assert_eq!(plan.fired(), k);
-            check_close(&a, &sol.solution, &b);
-        }
+        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
+        let _scope = fault::inject(&plan);
+        let sol = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(sol.stats.rung, 1);
+        assert_eq!(sol.stats.attempts, 2);
+        assert_eq!(sol.report.succeeded_rung(), Some(1));
+        assert!(sol.report.escalated());
+        assert_eq!(sol.report.injected_faults(), 1);
+        assert_eq!(plan.fired(), 1);
+        check_close(&a, &sol.solution, &b);
     }
 
     #[test]
     fn dense_lu_is_the_terminal_rung() {
         let a = advection(25, 1.0);
         let b = rhs(25);
-        let plan = FaultPlan::fail_first(3, FaultKind::NotConverged);
+        let plan = FaultPlan::fail_first(1, FaultKind::NotConverged);
         let _scope = fault::inject(&plan);
-        let sol = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(sol.stats.rung, 3);
-        assert!(matches!(
-            sol.report.attempts[3].solver,
-            SolverKind::DenseLu { .. }
-        ));
-        check_close(&a, &sol.solution, &b);
+        let sol = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(sol.stats.rung, 1);
+        assert_eq!(sol.report.attempts[1].solver, SolverKind::DenseLu);
+        // The direct step returns the reference LU's bits.
+        assert_eq!(bits(&sol.solution), bits(&a.to_dense().solve(&b).unwrap()));
+        assert_eq!(sol.solution, direct(&a, &b).unwrap().solution);
     }
 
     #[test]
@@ -1042,10 +703,16 @@ mod tests {
         let a = advection(30, 1.5);
         let b = rhs(30);
         let plan = FaultPlan::at([(0, FaultKind::PoisonNan)]);
-        let _scope = fault::inject(&plan);
-        let sol = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
+        let scope = fault::inject(&plan);
+        let sol = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
+        drop(scope);
         assert_eq!(sol.stats.rung, 1);
         assert!(sol.solution.iter().all(|v| v.is_finite()));
         assert_eq!(
@@ -1053,19 +720,37 @@ mod tests {
             AttemptOutcome::Failed(SolveError::NonFinite)
         );
         assert!(sol.report.attempts[0].injected);
+
+        // The guard covers the direct step too.
+        let plan = FaultPlan::at([(0, FaultKind::NotConverged), (1, FaultKind::PoisonNan)]);
+        let _scope = fault::inject(&plan);
+        let err = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.report.last_error(), Some(&SolveError::NonFinite));
     }
 
     #[test]
     fn exhausted_ladder_reports_every_failure() {
         let a = advection(20, 1.0);
         let b = rhs(20);
-        let plan = FaultPlan::fail_first(4, FaultKind::Breakdown);
+        let plan = FaultPlan::fail_first(2, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
-        let err = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap_err();
-        assert_eq!(err.report.attempts.len(), 4);
-        assert_eq!(err.report.tried(), 4);
+        let err = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.report.attempts.len(), 2);
+        assert_eq!(err.report.tried(), 2);
         assert_eq!(err.report.succeeded_rung(), None);
         assert!(matches!(
             err.report.last_error(),
@@ -1078,192 +763,95 @@ mod tests {
 
     #[test]
     fn oversized_system_skips_the_dense_rung() {
-        let a = advection(10, 1.0);
-        let b = rhs(10);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.rungs[3].solver = SolverKind::DenseLu { max_dim: 4 };
-        let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
+        let n = DENSE_FALLBACK_CAP + 1;
+        let a = advection(n, 1.0);
+        let b = rhs(n);
+        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
-        let err = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap_err();
-        // Three injected failures plus the skipped dense rung.
-        assert_eq!(err.report.attempts.len(), 4);
-        assert_eq!(err.report.tried(), 3);
+        let err = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap_err();
+        // One injected failure plus the skipped direct step.
+        assert_eq!(err.report.attempts.len(), 2);
+        assert_eq!(err.report.tried(), 1);
         assert!(matches!(
-            err.report.attempts[3].outcome,
+            err.report.attempts[1].outcome,
             AttemptOutcome::Skipped { .. }
         ));
-    }
-
-    #[test]
-    fn retry_policy_allows_second_attempt_on_same_rung() {
-        let a = advection(30, 1.5);
-        let b = rhs(30);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.policy.attempts_per_rung = 2;
-        let plan = FaultPlan::at([(0, FaultKind::NotConverged)]);
-        let _scope = fault::inject(&plan);
-        let sol = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        // Second attempt of rung 0 succeeds (with a loosened tolerance).
-        assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.stats.attempts, 2);
-        assert!(sol.report.attempts[1].tolerance > sol.report.attempts[0].tolerance);
+        assert_eq!(plan.consulted(), 1, "a skipped step consumes no fault");
     }
 
     #[test]
     fn report_display_names_solvers() {
-        assert_eq!(SolverKind::Gmres { restart: 60 }.to_string(), "gmres(60)");
-        assert_eq!(PrecondSpec::Ilu0.to_string(), "ilu0");
-        assert!(SolverKind::DenseLu { max_dim: 9 }.to_string().contains('9'));
-        assert_eq!(SolverKind::Cg.to_string(), "cg");
-        assert_eq!(SolverKind::Bicgstab.to_string(), "bicgstab");
+        assert_eq!(SolverKind::DenseLu.to_string(), "dense-lu");
+        assert_eq!(SolverKind::from(Krylov::Cg).to_string(), "cg");
+        assert_eq!(SolverKind::from(Krylov::Bicgstab).to_string(), "bicgstab");
     }
 
-    #[test]
-    fn matrix_diagnostics_measure_matches_hand_computation() {
-        // [[ 4, -1], [-2, 2]]
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 4.0);
-        b.add(0, 1, -1.0);
-        b.add(1, 0, -2.0);
-        b.add(1, 1, 2.0);
-        let d = MatrixDiagnostics::measure(&b.to_csr());
-        assert_eq!(d.dim, 2);
-        assert_eq!(d.min_abs_diag, 2.0);
-        assert_eq!(d.max_abs_diag, 4.0);
-        // Row dominances are 4/1 and 2/2.
-        assert_eq!(d.min_row_dominance, 1.0);
-        // Net: ((4-1) + (2-2)) / (4+2).
-        assert_eq!(d.net_dominance, 0.5);
-
-        let healthy = MatrixDiagnostics::measure(&advection(40, 2.0));
-        assert!(!DiagnosticsGate::default().routes(&healthy));
-        let sick = MatrixDiagnostics::measure(&near_singular(40));
-        assert!(sick.net_dominance.abs() < 3e-9);
-        assert!(DiagnosticsGate::default().routes(&sick));
-    }
-
-    #[test]
-    fn gate_routes_near_singular_system_to_dense_rung() {
-        let a = near_singular(25);
-        let b = rhs(25);
-        let plan = FaultPlan::none();
-        let scope = fault::inject(&plan);
-        let sol = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        drop(scope);
-        // One attempt, straight at the terminal dense rung: no escalation
-        // recorded, no Krylov budget burned.
-        assert_eq!(sol.stats.rung, 3);
-        assert_eq!(sol.report.tried(), 1);
-        assert_eq!(sol.report.attempts[0].rung, 3);
-        assert!(!sol.report.escalated());
-        // Bitwise-identical to what the full escalation cascade produces
-        // when forced to the same dense rung (dense LU ignores attempt
-        // history, the initial guess and the tolerance).
-        let mut ungated = SolveLadder::nonsymmetric();
-        ungated.gate = DiagnosticsGate::disabled();
-        let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
-        let _scope = fault::inject(&plan);
-        let cascade = ungated
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(cascade.stats.rung, 3);
-        assert!(cascade.report.escalated());
-        assert_eq!(sol.solution, cascade.solution);
-    }
-
-    #[test]
-    fn gate_stands_down_when_dense_rung_cannot_take_the_system() {
-        let a = near_singular(10);
-        let b = rhs(10);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.rungs[3].solver = SolverKind::DenseLu { max_dim: 4 };
-        let plan = FaultPlan::none();
-        let _scope = fault::inject(&plan);
-        // No dense rung available: the ladder escalates normally (and
-        // exhausts, since every Krylov rung stalls on a singular system).
-        let err = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap_err();
-        assert_eq!(err.report.attempts[0].rung, 0);
-        assert!(matches!(
-            err.report.attempts.last().unwrap().outcome,
-            AttemptOutcome::Skipped { .. }
-        ));
-    }
-
+    /// A near-singular system starts at the Krylov step like any other.
+    /// (The name predates the removal of the diagnostics gate, which
+    /// could send such a system straight to the direct step.)
     #[test]
     fn disabled_gate_starts_at_rung_zero_even_on_singular_systems() {
         let a = near_singular(25);
         let b = rhs(25);
-        let mut ladder = SolveLadder::nonsymmetric();
-        ladder.gate = DiagnosticsGate::disabled();
         let plan = FaultPlan::none();
         let _scope = fault::inject(&plan);
-        // ILU(0) is exact on a tridiagonal matrix, so rung 0 still
-        // converges here; the point is that nothing was routed.
-        let sol = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
+        // ILU(0) is exact on a tridiagonal matrix, so step 0 converges
+        // even here: no system is sent past it unless it fails.
+        let sol = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
         assert_eq!(sol.report.attempts[0].rung, 0);
+        assert_eq!(sol.stats.rung, 0);
     }
 
     #[test]
     fn starved_budget_escalates_naturally_and_faults_force_the_dense_rung() {
         let a = advection(40, 2.0);
         let b = rhs(40);
-        let ladder = SolveLadder::nonsymmetric();
-        // A one-iteration budget and an identity caller preconditioner
-        // starve the caller-preconditioned Krylov rungs naturally; the
-        // ladder escalates until a rung that builds its own (exact,
-        // tridiagonal) ILU(0) or the dense terminal rung succeeds.
+        // A one-iteration budget and an identity preconditioner starve the
+        // Krylov step naturally; the direct step takes over.
         let opts = SolverOptions {
             max_iterations: 1,
             ..SolverOptions::default()
         };
         let plan = FaultPlan::none();
         let scope = fault::inject(&plan);
-        let sol = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
-        assert!(sol.stats.rung > 0, "expected a natural escalation");
+        let sol = solve(Krylov::Bicgstab, &a, &b, &Identity::new(40), &opts).unwrap();
+        assert_eq!(sol.stats.rung, 1, "expected a natural escalation");
         assert_eq!(sol.report.injected_faults(), 0);
-        // The ladder keeps no memory: the same solve escalates from rung 0
-        // again and ends on the same rung with the same bits.
-        let again = ladder.solve(&a, &b, &Identity::new(40), &opts).unwrap();
+        // The solve keeps no memory: the same solve starts at step 0 again
+        // and ends on the same step with the same bits.
+        let again = solve(Krylov::Bicgstab, &a, &b, &Identity::new(40), &opts).unwrap();
         assert_eq!(again.report.attempts[0].rung, 0);
         assert_eq!(again.report, sol.report);
         assert_eq!(again.solution, sol.solution);
         drop(scope);
 
-        // The same cascade forced by injected faults lands on dense LU.
-        let plan = FaultPlan::fail_first(3, FaultKind::Breakdown);
+        // An injected fault lands a healthy solve on the same direct step.
+        let plan = FaultPlan::fail_first(1, FaultKind::Breakdown);
         let _scope = fault::inject(&plan);
-        let forced = ladder
-            .solve(&a, &b, &Ilu0::new(&a), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(forced.stats.rung, 3);
-        assert_eq!(forced.report.injected_faults(), 3);
-    }
-
-    #[test]
-    fn ladder_serde_defaults_gate_on_for_old_configs() {
-        let ladder = SolveLadder::nonsymmetric();
-        let json = serde_json::to_string(&ladder).unwrap();
-        assert!(json.contains("singular_net_dominance"));
-        let back: SolveLadder = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.gate, ladder.gate);
-        // Pre-gate configs (no `gate` key) must still load, gate enabled.
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        if let serde_json::Value::Object(map) = &mut value {
-            assert!(map.remove("gate").is_some());
-        }
-        let legacy: SolveLadder =
-            serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap();
-        assert!(legacy.gate.enabled);
-        assert_eq!(legacy.gate, DiagnosticsGate::default());
+        let forced = solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Ilu0::new(&a),
+            &SolverOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(forced.stats.rung, 1);
+        assert_eq!(forced.report.injected_faults(), 1);
+        assert_eq!(bits(&forced.solution), bits(&sol.solution));
     }
 }

@@ -36,8 +36,8 @@ pub enum SolveError {
     },
     /// A solver produced a non-finite (NaN or ±∞) entry. Raised by the
     /// [`resilience`](crate::resilience) layer, which checks every candidate
-    /// solution before accepting it, so poisoned arithmetic escalates to the
-    /// next rung instead of propagating NaNs into the caller's model.
+    /// solution before accepting it, so poisoned arithmetic falls through to
+    /// the direct step instead of propagating NaNs into the caller's model.
     NonFinite,
 }
 
@@ -103,7 +103,7 @@ impl SolverOptions {
         }
     }
 
-    pub(crate) fn cap(&self, n: usize) -> usize {
+    fn cap(&self, n: usize) -> usize {
         if self.max_iterations == 0 {
             (4 * n).max(100)
         } else {
@@ -130,11 +130,12 @@ pub struct SolveStats {
     pub iterations: usize,
     /// Final relative residual.
     pub residual: f64,
-    /// Index of the [`resilience::SolveLadder`](crate::resilience::SolveLadder)
-    /// rung that produced the solution; `0` for direct solver calls.
+    /// Step of [`resilience::solve`](crate::resilience::solve) that
+    /// produced the solution: `0` for the Krylov step (and for plain solver
+    /// calls), `1` for the direct step.
     pub rung: usize,
-    /// Total solver attempts the ladder made (including failed ones) before
-    /// this solution; `0` for direct solver calls.
+    /// Total solver attempts `resilience::solve` made (including failed
+    /// ones) before this solution; `0` for plain solver calls.
     pub attempts: usize,
 }
 
@@ -383,155 +384,6 @@ pub fn bicgstab(
     }
 }
 
-/// Restarted GMRES(m) with left preconditioning — the robust fallback for
-/// systems where BiCGSTAB stagnates (highly nonsymmetric advection
-/// operators at extreme flow rates).
-///
-/// `restart` is the Krylov subspace dimension between restarts (0 selects
-/// 50). Convergence is measured on the *true* residual at each restart.
-///
-/// # Errors
-///
-/// Same error conditions as [`cg`].
-pub fn gmres(
-    a: &CsrMatrix,
-    b: &[f64],
-    m: &dyn Preconditioner,
-    restart: usize,
-    options: &SolverOptions,
-) -> Result<Solution, SolveError> {
-    let n = check_square(a, b)?;
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return Ok(Solution {
-            solution: vec![0.0; n],
-            stats: SolveStats::default(),
-        });
-    }
-    let restart = if restart == 0 { 50 } else { restart }.min(n);
-    let max_outer = (options.cap(n) / restart).max(4);
-    let mut x = options.guess(n)?;
-    let mut total_inner = 0usize;
-    let mut tmp = vec![0.0; n];
-    let mut z = vec![0.0; n];
-
-    for _outer in 0..max_outer {
-        // True residual.
-        a.mul_vec_into(&x, &mut tmp);
-        let mut r = vec![0.0; n];
-        for i in 0..n {
-            r[i] = b[i] - tmp[i];
-        }
-        let true_res = norm2(&r) / b_norm;
-        if true_res <= options.tolerance {
-            return Ok(Solution {
-                solution: x,
-                stats: SolveStats {
-                    iterations: total_inner,
-                    residual: true_res,
-                    ..SolveStats::default()
-                },
-            });
-        }
-        // Preconditioned residual seeds the Krylov basis.
-        m.apply(&r, &mut z);
-        let beta = norm2(&z);
-        if beta < 1e-300 {
-            return Err(SolveError::Breakdown {
-                iterations: total_inner,
-            });
-        }
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(restart + 1);
-        basis.push(z.iter().map(|v| v / beta).collect());
-        // Hessenberg columns, Givens rotations, residual vector g.
-        let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
-        let mut cs = Vec::with_capacity(restart);
-        let mut sn = Vec::with_capacity(restart);
-        let mut g = vec![0.0; restart + 1];
-        g[0] = beta;
-        let mut k_used = 0;
-
-        for j in 0..restart {
-            total_inner += 1;
-            a.mul_vec_into(&basis[j], &mut tmp);
-            m.apply(&tmp, &mut z);
-            let mut col = vec![0.0; j + 2];
-            let mut w = z.clone();
-            for (i, vi) in basis.iter().enumerate().take(j + 1) {
-                let hij = dot(&w, vi);
-                col[i] = hij;
-                axpy(-hij, vi, &mut w);
-            }
-            let wn = norm2(&w);
-            col[j + 1] = wn;
-            // Apply accumulated Givens rotations to the new column.
-            for i in 0..j {
-                let (c, s): (f64, f64) = (cs[i], sn[i]);
-                let t = c * col[i] + s * col[i + 1];
-                col[i + 1] = -s * col[i] + c * col[i + 1];
-                col[i] = t;
-            }
-            // New rotation to annihilate col[j+1].
-            let denom = (col[j] * col[j] + col[j + 1] * col[j + 1]).sqrt();
-            let (c, s) = if denom < 1e-300 {
-                (1.0, 0.0)
-            } else {
-                (col[j] / denom, col[j + 1] / denom)
-            };
-            cs.push(c);
-            sn.push(s);
-            col[j] = c * col[j] + s * col[j + 1];
-            col[j + 1] = 0.0;
-            let gj = g[j];
-            g[j] = c * gj;
-            g[j + 1] = -s * gj;
-            h.push(col);
-            k_used = j + 1;
-            if wn < 1e-300 {
-                break; // happy breakdown: exact solution in this subspace
-            }
-            basis.push(w.iter().map(|v| v / wn).collect());
-            if g[j + 1].abs() / beta <= options.tolerance * 0.1 {
-                break;
-            }
-        }
-        // Solve the (k_used × k_used) triangular system H y = g.
-        let mut y = vec![0.0; k_used];
-        for i in (0..k_used).rev() {
-            let mut acc = g[i];
-            for j in (i + 1)..k_used {
-                acc -= h[j][i] * y[j];
-            }
-            y[i] = acc / h[i][i];
-        }
-        for (j, yj) in y.iter().enumerate() {
-            axpy(*yj, &basis[j], &mut x);
-        }
-    }
-
-    a.mul_vec_into(&x, &mut tmp);
-    let mut r = vec![0.0; n];
-    for i in 0..n {
-        r[i] = b[i] - tmp[i];
-    }
-    let res = norm2(&r) / b_norm;
-    if res <= options.tolerance * 10.0 {
-        Ok(Solution {
-            solution: x,
-            stats: SolveStats {
-                iterations: total_inner,
-                residual: res,
-                ..SolveStats::default()
-            },
-        })
-    } else {
-        Err(SolveError::NotConverged {
-            iterations: total_inner,
-            residual: res,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,55 +518,6 @@ mod tests {
         let sol = bicgstab(&a, &b, &Ilu0::new(&a), &SolverOptions::default()).unwrap();
         for (xi, di) in sol.solution.iter().zip(&dense_x) {
             assert!((xi - di).abs() < 1e-7, "{xi} vs {di}");
-        }
-    }
-
-    #[test]
-    fn gmres_solves_nonsymmetric() {
-        let a = advection(60, 3.0);
-        let x_true: Vec<f64> = (0..60).map(|i| ((i * 5 % 17) as f64) - 8.0).collect();
-        let b = a.mul_vec(&x_true);
-        let sol = gmres(&a, &b, &Ilu0::new(&a), 20, &SolverOptions::default()).unwrap();
-        assert!(a.residual_norm(&sol.solution, &b) / norm2(&b) < 1e-8);
-    }
-
-    #[test]
-    fn gmres_handles_tiny_restart() {
-        let a = advection(25, 1.0);
-        let b = vec![1.0; 25];
-        let sol = gmres(&a, &b, &Jacobi::new(&a), 5, &SolverOptions::default()).unwrap();
-        assert!(a.residual_norm(&sol.solution, &b) < 1e-7);
-    }
-
-    #[test]
-    fn gmres_zero_rhs_and_default_restart() {
-        let a = advection(10, 1.0);
-        let sol = gmres(
-            &a,
-            &[0.0; 10],
-            &Identity::new(10),
-            0,
-            &SolverOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sol.solution, vec![0.0; 10]);
-    }
-
-    #[test]
-    fn gmres_matches_dense_lu() {
-        let a = advection(15, 4.0);
-        let b: Vec<f64> = (0..15).map(|i| (i as f64 * 0.9).sin()).collect();
-        let dense = a.to_dense().solve(&b).unwrap();
-        let sol = gmres(
-            &a,
-            &b,
-            &Ilu0::new(&a),
-            0,
-            &SolverOptions::with_tolerance(1e-12),
-        )
-        .unwrap();
-        for (s, d) in sol.solution.iter().zip(&dense) {
-            assert!((s - d).abs() < 1e-8);
         }
     }
 

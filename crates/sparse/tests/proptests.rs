@@ -5,11 +5,9 @@
 //! zone), then check the algebraic invariants that the rest of the
 //! workspace relies on.
 
-use coolnet_sparse::precond::{Identity, Ilu0, Jacobi, Preconditioner};
-use coolnet_sparse::resilience::{PrecondSpec, RetryPolicy, Rung, SolverKind};
-use coolnet_sparse::{
-    solve, CsrMatrix, DiagnosticsGate, SolveError, SolveLadder, SolverOptions, TripletBuilder,
-};
+use coolnet_sparse::precond::{Ilu0, Jacobi, Preconditioner};
+use coolnet_sparse::resilience;
+use coolnet_sparse::{solve, CsrMatrix, SolverOptions, TripletBuilder};
 use proptest::prelude::*;
 
 /// Random symmetric diagonally dominant matrix plus a dense vector.
@@ -187,44 +185,14 @@ fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
-/// A ladder whose only rung is the dense rescue.
-fn dense_rung_only() -> SolveLadder {
-    SolveLadder {
-        rungs: vec![Rung::new(
-            SolverKind::DenseLu { max_dim: 4096 },
-            PrecondSpec::Caller,
-        )],
-        policy: RetryPolicy::default(),
-        gate: DiagnosticsGate::disabled(),
-    }
-}
-
 proptest! {
     #[test]
     fn dense_rung_matches_dense_lu_bit_for_bit((a, b) in banded_system(80)) {
-        let rung = dense_rung_only().solve(
-            &a,
-            &b,
-            &Identity::new(a.rows()),
-            &SolverOptions::default(),
-        );
-        match (a.to_dense().solve(&b), rung) {
-            (Ok(x), Ok(sol)) => {
-                let got: Vec<u64> = sol.solution.iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(got, want);
-            }
-            // A non-finite reference result is rejected by the ladder's guard.
-            (Ok(x), Err(err)) => {
-                prop_assert!(x.iter().any(|v| !v.is_finite()));
-                prop_assert_eq!(err.report.last_error(), Some(&SolveError::NonFinite));
-            }
-            (Err(e), rung) => {
-                prop_assert!(rung.is_err(), "reference failed with {:?}", e);
-                if let Err(err) = rung {
-                    prop_assert_eq!(err.report.last_error(), Some(&e));
-                }
-            }
+        // The direct step, non-finite results included: the finiteness
+        // guard sits in `resilience::solve`, not in the step itself.
+        match (a.to_dense().solve(&b), resilience::direct(&a, &b)) {
+            (Ok(x), Ok(sol)) => prop_assert_eq!(bits(&sol.solution), bits(&x)),
+            (want, got) => prop_assert_eq!(want.err(), got.err()),
         }
     }
 

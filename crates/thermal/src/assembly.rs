@@ -13,6 +13,7 @@ use crate::solution::{Resolution, SourceLayerTemps, ThermalSolution};
 use coolnet_grid::GridDims;
 use coolnet_obs::LazyCounter;
 use coolnet_sparse::precond::Ilu0;
+use coolnet_sparse::resilience::{self, Krylov};
 use coolnet_sparse::{CsrMatrix, SolverOptions, TripletBuilder};
 use coolnet_units::Pascal;
 use std::sync::Mutex;
@@ -310,19 +311,17 @@ impl Assembled {
             options.initial_guess = Some(g);
         }
         let rhs = self.rhs_at(p_sys.value(), config.t_inlet.value());
-        // The ladder's first rung is the historical BiCGSTAB call with the
-        // cached ILU(0); escalation rungs (GMRES, fresh ILU(0), dense LU)
-        // only engage when it fails.
-        let solution = config
-            .ladder
-            .solve(&cache.matrix, &rhs, &cache.ilu, &options)?;
+        // BiCGSTAB with the cached ILU(0); the direct step only runs when
+        // it fails.
+        let solution =
+            resilience::solve(Krylov::Bicgstab, &cache.matrix, &rhs, &cache.ilu, &options)?;
         cache.record(p_sys.value(), &solution.solution);
         Ok(self.extract(solution.solution, solution.stats))
     }
 
     /// Solves the steady-state system at `p_sys` from scratch: full
     /// assembly ([`system`](Self::system)), a fresh ILU(0) factorization
-    /// and a ladder solve from the caller's guess, with no cache read or
+    /// and a two-step solve from the caller's guess, with no cache read or
     /// written. This is the reference [`steady`](Self::steady) is checked
     /// against.
     pub fn steady_reference(
@@ -334,7 +333,7 @@ impl Assembled {
         let options = self.steady_options(p_sys, config, guess)?;
         let (matrix, rhs) = self.system(p_sys, config.t_inlet.value());
         let precond = Ilu0::new(&matrix);
-        let solution = config.ladder.solve(&matrix, &rhs, &precond, &options)?;
+        let solution = resilience::solve(Krylov::Bicgstab, &matrix, &rhs, &precond, &options)?;
         Ok(self.extract(solution.solution, solution.stats))
     }
 

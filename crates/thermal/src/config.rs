@@ -1,6 +1,5 @@
 //! Thermal simulation configuration.
 
-use coolnet_sparse::SolveLadder;
 use coolnet_units::nusselt::WallCondition;
 use coolnet_units::Kelvin;
 use serde::{Deserialize, Serialize};
@@ -28,24 +27,17 @@ pub struct ThermalConfig {
     pub advection: AdvectionScheme,
     /// Relative residual tolerance of the linear solve.
     pub tolerance: f64,
-    /// Escalation ladder for the steady and transient linear solves. The
-    /// default nonsymmetric preset (BiCGSTAB → GMRES → dense LU) matches
-    /// the cascade previously hard-coded in the assembly layer.
-    #[serde(default)]
-    pub ladder: SolveLadder,
 }
 
 impl Default for ThermalConfig {
     /// `T_in = 300 K`, H1 walls, central differencing, `1e-8` tolerance
-    /// (temperature errors well below a millikelvin at benchmark scales),
-    /// the nonsymmetric ladder.
+    /// (temperature errors well below a millikelvin at benchmark scales).
     fn default() -> Self {
         Self {
             t_inlet: Kelvin::new(300.0),
             wall_condition: WallCondition::ConstantHeatFlux,
             advection: AdvectionScheme::Central,
             tolerance: 1e-8,
-            ladder: SolveLadder::nonsymmetric(),
         }
     }
 }

@@ -66,7 +66,7 @@ impl From<SolveError> for ThermalError {
 }
 
 impl From<coolnet_sparse::LadderError> for ThermalError {
-    /// Collapses an exhausted solver ladder to its last recorded error.
+    /// Collapses an exhausted solve to its last recorded error.
     fn from(e: coolnet_sparse::LadderError) -> Self {
         ThermalError::Solver(e.into())
     }

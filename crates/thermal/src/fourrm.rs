@@ -349,28 +349,35 @@ mod tests {
         .unwrap()
     }
 
+    /// (The name predates the removal of the diagnostics gate: the probe
+    /// now reaches the direct step by failing the Krylov step.)
     #[test]
     fn gate_routed_probe_is_solved_bit_identically_to_dense_lu() {
         use coolnet_sparse::precond::Identity;
-        use coolnet_sparse::{DiagnosticsGate, MatrixDiagnostics, SolveLadder, SolverOptions};
+        use coolnet_sparse::resilience::{self, Krylov};
+        use coolnet_sparse::SolverOptions;
 
         // A vanishing-pressure probe of Algorithm 3's downward walk: the
-        // conduction-dominated system the diagnostics gate routes to the
-        // terminal dense rung.
+        // conduction-dominated system BiCGSTAB cannot solve, rescued by
+        // the direct step.
         let dims = GridDims::new(9, 9);
         let sim = FourRm::new(&stack(dims, 3.0), &ThermalConfig::default()).unwrap();
         let (a, b) = sim
             .assembled()
             .system(Pascal::new(1e-6), sim.config().t_inlet.value());
-        assert!(DiagnosticsGate::default().routes(&MatrixDiagnostics::measure(&a)));
-        let routed = SolveLadder::nonsymmetric()
-            .solve(&a, &b, &Identity::new(a.rows()), &SolverOptions::default())
-            .unwrap();
-        assert_eq!(routed.report.tried(), 1);
-        assert_eq!(routed.stats.rung, 3);
+        let rescued = resilience::solve(
+            Krylov::Bicgstab,
+            &a,
+            &b,
+            &Identity::new(a.rows()),
+            &SolverOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(rescued.report.tried(), 2);
+        assert_eq!(rescued.stats.rung, 1);
         let reference = a.to_dense().solve(&b).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&routed.solution), bits(&reference));
+        assert_eq!(bits(&rescued.solution), bits(&reference));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::power::PowerMap;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::tworm::TwoRm;
 use coolnet_sparse::precond::Ilu0;
+use coolnet_sparse::resilience::{self, Krylov};
 use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions};
 use coolnet_units::{Kelvin, Pascal};
 
@@ -255,8 +256,7 @@ impl<'a> Transient<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::Solver`] if every rung of the configured
-    /// solver ladder fails.
+    /// Returns [`ThermalError::Solver`] if both steps of the solve fail.
     pub fn step(&mut self) -> Result<(), ThermalError> {
         let rhs: Vec<f64> = self
             .rhs_power
@@ -267,10 +267,13 @@ impl<'a> Transient<'a> {
             .collect();
         let mut options = SolverOptions::with_tolerance(self.config.tolerance);
         options.initial_guess = Some(self.temps.clone());
-        let sol = self
-            .config
-            .ladder
-            .solve(&self.matrix, &rhs, &self.precond, &options)?;
+        let sol = resilience::solve(
+            Krylov::Bicgstab,
+            &self.matrix,
+            &rhs,
+            &self.precond,
+            &options,
+        )?;
         self.temps = sol.solution;
         self.last_stats = sol.stats;
         self.time += self.dt;

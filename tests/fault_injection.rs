@@ -1,7 +1,8 @@
 //! Chaos tests for the solver resilience layer: deterministic faults are
-//! injected into the escalation ladder at chosen attempt indices, and the
-//! pipeline must recover (next rung), degrade (partial results with
-//! context), or fail loudly (exhausted ladder) — never silently corrupt.
+//! injected into the two-step solve (Krylov, then direct LU) at chosen
+//! attempt indices, and the pipeline must recover (direct step), degrade
+//! (partial results with context), or fail loudly (both steps exhausted)
+//! — never silently corrupt.
 //!
 //! Every solve in this binary runs while holding a [`fault::inject`]
 //! scope (an empty plan for no-fault phases): the scope's process-wide
@@ -36,9 +37,9 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// The SPD flow ladder (CG → ILU0-BiCGSTAB → GMRES → dense LU) must
-/// recover at every rung: failing the first `k` attempts lands the solve
-/// on rung `k` with pressures matching the unfaulted reference.
+/// The flow solve (Jacobi-CG → dense LU) must recover at every step:
+/// failing the first `k` attempts lands the solve on step `k` with
+/// pressures matching the unfaulted reference.
 #[test]
 fn flow_ladder_recovers_at_every_rung() {
     let net = valid_net();
@@ -50,7 +51,7 @@ fn flow_ladder_recovers_at_every_rung() {
     assert_eq!(reference.solve_report().succeeded_rung(), Some(0));
     assert!(!reference.solve_report().escalated());
 
-    for k in 0..4 {
+    for k in 0..2 {
         let plan = FaultPlan::fail_first(k, FaultKind::Breakdown);
         let scope = fault::inject(&plan);
         let model = FlowModel::new(&net, &cfg).unwrap();
@@ -67,24 +68,24 @@ fn flow_ladder_recovers_at_every_rung() {
     }
 }
 
-/// Failing every rung exhausts the ladder: the model constructor must
+/// Failing both steps exhausts the solve: the model constructor must
 /// return an error (not garbage pressures), and the plan must have fired
-/// once per rung.
+/// once per step.
 #[test]
 fn flow_ladder_exhaustion_is_an_error() {
     let net = valid_net();
     let cfg = FlowConfig::default();
-    let plan = FaultPlan::fail_first(4, FaultKind::NotConverged);
+    let plan = FaultPlan::fail_first(2, FaultKind::NotConverged);
     let scope = fault::inject(&plan);
     let result = FlowModel::new(&net, &cfg);
     drop(scope);
-    assert!(result.is_err(), "exhausted ladder must surface an error");
-    assert_eq!(plan.fired(), 4);
+    assert!(result.is_err(), "exhausted solve must surface an error");
+    assert_eq!(plan.fired(), 2);
 }
 
-/// The nonsymmetric thermal ladder (BiCGSTAB → GMRES(60) → ILU0-GMRES(150)
-/// → dense LU) must recover at every rung, including the terminal dense-LU
-/// fallback, with temperatures matching the unfaulted solve.
+/// The thermal solve (ILU0-BiCGSTAB → dense LU) must recover at every
+/// step, including the terminal dense-LU fallback, with temperatures
+/// matching the unfaulted solve.
 #[test]
 fn thermal_ladder_recovers_at_every_rung() {
     let bench = Benchmark::iccad_scaled(1, dims());
@@ -101,7 +102,7 @@ fn thermal_ladder_recovers_at_every_rung() {
     };
     assert_eq!(reference.stats().rung, 0);
 
-    for k in 0..4 {
+    for k in 0..2 {
         let plan = FaultPlan::fail_first(k, FaultKind::NotConverged);
         let scope = fault::inject(&plan);
         let sol = sim.simulate(p).unwrap();
@@ -112,16 +113,16 @@ fn thermal_ladder_recovers_at_every_rung() {
         assert!(d < 5e-3, "temperature mismatch {d} K at rung {k}");
     }
 
-    // Exhaustion: every rung faulted → the probe errors instead of lying.
-    let plan = FaultPlan::fail_first(4, FaultKind::Breakdown);
+    // Exhaustion: both steps faulted → the probe errors instead of lying.
+    let plan = FaultPlan::fail_first(2, FaultKind::Breakdown);
     let scope = fault::inject(&plan);
     let result = sim.simulate(p);
     drop(scope);
     assert!(matches!(result, Err(ThermalError::Solver(_))));
 }
 
-/// NaN poisoning exercises the ladder's finiteness guard: the poisoned
-/// rung's solution is rejected and the next rung produces finite
+/// NaN poisoning exercises the solve's finiteness guard: the poisoned
+/// Krylov solution is rejected and the direct step produces finite
 /// temperatures.
 #[test]
 fn nan_poisoning_escalates_to_the_next_rung() {
@@ -141,9 +142,10 @@ fn nan_poisoning_escalates_to_the_next_rung() {
     assert!(sol.all_temperatures().iter().all(|t| t.is_finite()));
 }
 
-/// The probe cache must survive faulted probes: a probe that escalates
-/// (or exhausts the ladder) must not corrupt the cached operator, so
-/// subsequent no-fault probes still match the cold-rebuild reference.
+/// The probe cache must survive faulted probes: a probe that falls
+/// through to the direct step (or exhausts both steps) must not corrupt
+/// the cached operator, so subsequent no-fault probes still match the
+/// cold-rebuild reference.
 #[test]
 fn probe_cache_survives_faulted_probes() {
     let bench = Benchmark::iccad_scaled(1, dims());
@@ -174,14 +176,14 @@ fn probe_cache_survives_faulted_probes() {
     drop(scope);
     check(&sol, 0);
 
-    // A probe that escalates two rungs still matches the cold reference.
-    let scope = fault::inject(&FaultPlan::fail_first(2, FaultKind::Breakdown));
+    // A probe rescued by the direct step still matches the cold reference.
+    let scope = fault::inject(&FaultPlan::fail_first(1, FaultKind::Breakdown));
     let sol = cached.simulate(Pascal::from_kilopascals(kpa[1])).unwrap();
     drop(scope);
-    assert_eq!(sol.stats().rung, 2);
+    assert_eq!(sol.stats().rung, 1);
     check(&sol, 1);
 
-    // The next clean probe drops back to rung 0 — the cache refresh under
+    // The next clean probe drops back to step 0 — the cache refresh under
     // fault did not poison the cached operator or factorization.
     let scope = fault::inject(&FaultPlan::none());
     let sol = cached.simulate(Pascal::from_kilopascals(kpa[2])).unwrap();
@@ -189,8 +191,8 @@ fn probe_cache_survives_faulted_probes() {
     assert_eq!(sol.stats().rung, 0);
     check(&sol, 2);
 
-    // Exhaust the ladder entirely...
-    let scope = fault::inject(&FaultPlan::fail_first(4, FaultKind::NotConverged));
+    // Exhaust both steps...
+    let scope = fault::inject(&FaultPlan::fail_first(2, FaultKind::NotConverged));
     assert!(cached.simulate(Pascal::from_kilopascals(kpa[3])).is_err());
     drop(scope);
 
@@ -251,7 +253,7 @@ fn sa_run_survives_chaotic_cost_evaluations() {
     assert_eq!(a.failures, b.failures);
 }
 
-/// A candidate whose solve exhausts the ladder scores `+∞` just like a
+/// A candidate whose solve exhausts both steps scores `+∞` just like a
 /// physically infeasible one, but only the solver error is counted in
 /// `eval.solver_errors` — on every path that can raise one: building the
 /// evaluator, a frozen-pressure profile, and the full evaluation.
@@ -337,7 +339,7 @@ fn runtime_simulation_fault_reports_context_and_partial_trace() {
         events: Vec::new(),
     };
     // Fault a contiguous window of attempt indices well past model setup:
-    // whichever transient step lands in it has every ladder rung refused,
+    // whichever transient step lands in it has both solve steps refused,
     // failing the simulation a few control intervals into the trace.
     let plan = FaultPlan::at((30..80).map(|i| (i, FaultKind::NotConverged)));
     let scope = fault::inject(&plan);
@@ -345,8 +347,8 @@ fn runtime_simulation_fault_reports_context_and_partial_trace() {
         .expect_err("faulted window must abort the simulation");
     drop(scope);
     assert!(
-        plan.fired() >= 4,
-        "ladder exhaustion needs one fault per rung"
+        plan.fired() >= 2,
+        "exhausting a solve needs one fault per step"
     );
     let msg = err.to_string();
     let ScenarioError::Run {

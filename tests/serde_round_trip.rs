@@ -94,37 +94,103 @@ fn stack_round_trips() {
     assert!(sol.max_temperature().value() > 300.0);
 }
 
-#[test]
-fn solve_ladder_round_trips_inside_configs() {
-    use coolnet::sparse::SolveLadder;
+/// A `ladder` object like those configs carried before the solve became
+/// one fixed function (trimmed: rung knobs and the retry policy left out).
+fn legacy_ladder() -> serde_json::Value {
+    serde_json::json!({
+        "rungs": [
+            {"solver": "Bicgstab", "precond": "Caller"},
+            {"solver": {"Gmres": {"restart": 60}}, "precond": "Caller"},
+            {"solver": {"DenseLu": {"max_dim": 4096}}, "precond": "Caller"}
+        ],
+        "gate": {"enabled": true, "singular_net_dominance": 3e-9}
+    })
+}
 
-    // The ladder itself, both presets.
-    for ladder in [SolveLadder::spd(), SolveLadder::nonsymmetric()] {
-        let json = serde_json::to_string(&ladder).unwrap();
-        let back: SolveLadder = serde_json::from_str(&json).unwrap();
-        assert_eq!(ladder, back);
+/// Inserts (`Some`) or removes (`None`) a `ladder` key in every
+/// `FlowConfig` object (those carrying `port_loss_factor`) under `v`.
+fn set_flow_ladder(v: &mut serde_json::Value, ladder: Option<&serde_json::Value>) {
+    match v {
+        serde_json::Value::Object(map) => {
+            if map.contains_key("port_loss_factor") {
+                match ladder {
+                    Some(l) => map.insert("ladder".to_owned(), l.clone()),
+                    None => map.remove("ladder"),
+                };
+            }
+            let keys: Vec<String> = map.iter().map(|(k, _)| k.clone()).collect();
+            for key in keys {
+                if let Some(child) = map.get_mut(&key) {
+                    set_flow_ladder(child, ladder);
+                }
+            }
+        }
+        serde_json::Value::Array(items) => {
+            items.iter_mut().for_each(|c| set_flow_ladder(c, ladder));
+        }
+        _ => {}
     }
+}
 
-    // Embedded in the solver configs.
+/// Solver configs round-trip, and configs saved with or without the
+/// removed `ladder` key load to the same solve. A `FlowConfig` without
+/// the key once fell back to the nonsymmetric ladder, so its pressure
+/// solve ran BiCGSTAB instead of CG and moved `R_sys` in the last digits.
+#[test]
+fn solver_configs_ignore_legacy_ladders() {
     let tc = ThermalConfig::default();
     let back: ThermalConfig = serde_json::from_str(&serde_json::to_string(&tc).unwrap()).unwrap();
     assert_eq!(tc, back);
-    let fc = FlowConfig::default();
+    let fc = FlowConfig::iccad2015(200e-6);
     let back: FlowConfig = serde_json::from_str(&serde_json::to_string(&fc).unwrap()).unwrap();
     assert_eq!(fc, back);
 
-    // Configs saved before the resilience layer existed (no `ladder` key)
-    // still deserialize, picking up the safe default ladder.
-    let mut json: serde_json::Value = serde_json::to_value(&tc).unwrap();
-    json.as_object_mut().unwrap().remove("ladder");
-    let old: ThermalConfig = serde_json::from_value(json).unwrap();
-    assert_eq!(old.ladder, SolveLadder::default());
+    // Stripped and legacy flow configs give the unit pressures of
+    // `FlowConfig::iccad2015` bit for bit, standalone and inside a
+    // serialized stack's channel layer.
+    let dims = GridDims::new(21, 21);
+    let net = straight::build(
+        dims,
+        &tsv::alternating(dims),
+        Dir::East,
+        &StraightParams::default(),
+    )
+    .unwrap();
+    let bits = |cfg: &FlowConfig| -> Vec<u64> {
+        let model = FlowModel::new(&net, cfg).unwrap();
+        assert_eq!(model.solve_stats().rung, 0);
+        model.unit_pressures().iter().map(|p| p.to_bits()).collect()
+    };
+    let reference = bits(&fc);
+    let stack = Benchmark::iccad_scaled(1, dims)
+        .stack_with(std::slice::from_ref(&net))
+        .unwrap();
+    for ladder in [None, Some(legacy_ladder())] {
+        let mut json = serde_json::to_value(&fc).unwrap();
+        set_flow_ladder(&mut json, ladder.as_ref());
+        let loaded: FlowConfig = serde_json::from_value(json).unwrap();
+        assert_eq!(bits(&loaded), reference);
 
-    // Configs saved while `ThermalConfig` still carried the removed
-    // solver-thread and cold-rebuild knobs still load: unknown keys are
-    // ignored.
+        let mut json = serde_json::to_value(&stack).unwrap();
+        set_flow_ladder(&mut json, ladder.as_ref());
+        let loaded: Stack = serde_json::from_value(json).unwrap();
+        let mut channels = 0;
+        for layer in loaded.layers() {
+            if let coolnet::thermal::LayerKind::Channel { network, flow, .. } = &layer.kind {
+                assert_eq!(network, &net);
+                assert_eq!(bits(flow), reference);
+                channels += 1;
+            }
+        }
+        assert_eq!(channels, stack.channel_layer_indices().len());
+    }
+
+    // Thermal configs saved with a `ladder`, or while `ThermalConfig`
+    // still carried the removed solver-thread and cold-rebuild knobs,
+    // still load: unknown keys are ignored.
     let mut json: serde_json::Value = serde_json::to_value(&tc).unwrap();
     let obj = json.as_object_mut().unwrap();
+    obj.insert("ladder".to_owned(), legacy_ladder());
     obj.insert("solver_threads".to_owned(), serde_json::json!(4));
     obj.insert("cold_rebuild".to_owned(), serde_json::json!(true));
     let legacy: ThermalConfig = serde_json::from_value(json).unwrap();

@@ -40,9 +40,9 @@ fn live_cancel_under_fault_plan_leaves_substrate_usable() {
     let queue = chaos_queue(1, 3);
 
     let cancelled = {
-        // Solver faults land on every solve attempt while the scope is
-        // held; the ladder recovers on later rungs, so evaluations slow
-        // down but stay correct — chaos, not corruption.
+        // The first solve attempt under the scope fails; the direct step
+        // rescues that solve, so evaluations stay correct — chaos, not
+        // corruption.
         let _scope = fault::inject(&FaultPlan::fail_first(1, FaultKind::Breakdown));
         let mut spec = healthy("under-fire", 3);
         spec.id = "under-fire".into();
