@@ -20,13 +20,14 @@
 //! §3 gradient `ΔT`, the pumping power, and the per-die
 //! max-spatial-gradient thermal-stress proxy
 //! ([`ThermalSolution::stress_proxy`]). The plant is the transient 2RM or
-//! 4RM simulator. Changing the pressure swaps the advection operator, so
-//! the integrator persists across intervals and is rebuilt (warm-started
-//! from the latest field) only when the pressure actually moves — and
-//! reused, internal state and all, when the controller holds it (e.g.
-//! clamped at a bound). Power-map and inlet-temperature events go through
-//! the cheap RHS-refresh hooks ([`Transient::set_power_map`],
-//! [`Transient::set_inlet_temperature`]), never paying a rebuild.
+//! 4RM simulator, and one integrator serves the whole run. A pressure
+//! change rescales the advection operator in place on its cached pattern
+//! and refactors the preconditioner ([`Transient::set_pressure`]); the
+//! field and its time-level history carry on. When the controller holds
+//! the pressure (e.g. clamped at a bound) nothing is refreshed. Events act
+//! on the live integrator when they fire: power-scale, power-map and
+//! inlet-temperature events are cheap RHS refreshes
+//! ([`Transient::set_power_map`], [`Transient::set_inlet_temperature`]).
 //!
 //! Everything is deterministic: no clocks, no RNG, and every solve runs
 //! on the calling thread. A spec replayed with the same thermal
@@ -34,6 +35,7 @@
 //! [`ScenarioTrace::fingerprint`]), independent of the host (see
 //! `tests/scenario_determinism.rs`).
 //!
+//! [`Transient::set_pressure`]: coolnet_thermal::transient::Transient::set_pressure
 //! [`Transient::set_power_map`]: coolnet_thermal::transient::Transient::set_power_map
 //! [`Transient::set_inlet_temperature`]: coolnet_thermal::transient::Transient::set_inlet_temperature
 //! [`ThermalSolution::stress_proxy`]: coolnet_thermal::ThermalSolution::stress_proxy
@@ -43,10 +45,10 @@ use coolnet_cases::{floorplan, Benchmark};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
-use coolnet_thermal::{FourRm, PowerMap, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
+use coolnet_thermal::transient::Transient;
+use coolnet_thermal::{FourRm, PowerMap, ThermalConfig, ThermalError, TwoRm};
 use coolnet_units::{Kelvin, Pascal, Watt};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Completed or attempted [`run_scenario`] calls.
 static M_RUNS: LazyCounter = LazyCounter::new("scenario.runs");
@@ -54,8 +56,10 @@ static M_RUNS: LazyCounter = LazyCounter::new("scenario.runs");
 static M_EVENTS: LazyCounter = LazyCounter::new("scenario.events_applied");
 /// Control intervals simulated under a forced-pressure episode.
 static M_FORCED: LazyCounter = LazyCounter::new("scenario.forced_intervals");
-/// Transient-integrator builds (in-place `C/dt` diagonal update + ILU(0));
-/// a clamped-pressure run should build once, not once per interval.
+/// Transient-integrator operator set-ups: the one build per run plus one
+/// in-place pressure refresh (values, `C/dt` diagonal, ILU(0) refactor)
+/// per pressure change; a clamped-pressure run counts one, not one per
+/// interval.
 static M_INTEGRATOR_REBUILDS: LazyCounter = LazyCounter::new("scenario.integrator_rebuilds");
 
 /// A proportional controller on the pump pressure.
@@ -593,19 +597,13 @@ impl Plant {
         })
     }
 
-    /// Builds a transient integrator at pressure `p` — the steady system
-    /// at `p` with `C/dt` added to its diagonal in place, plus an ILU(0)
-    /// factorization: the expensive part of a pressure change.
-    fn integrator(
-        &self,
-        p: Pascal,
-        dt: f64,
-        initial: Option<&ThermalSolution>,
-    ) -> Result<coolnet_thermal::transient::Transient<'_>, ThermalError> {
+    /// Builds the run's transient integrator at pressure `p`, from a
+    /// uniform `T_in` field.
+    fn integrator(&self, p: Pascal, dt: f64) -> Result<Transient<'_>, ThermalError> {
         M_INTEGRATOR_REBUILDS.inc();
         match self {
-            Plant::Two(s) => s.transient(p, dt, initial),
-            Plant::Four(s) => s.transient(p, dt, initial),
+            Plant::Two(s) => s.transient(p, dt, None),
+            Plant::Four(s) => s.transient(p, dt, None),
         }
     }
 }
@@ -701,13 +699,6 @@ pub fn run_scenario(
     events.sort_by(|a, b| a.at.total_cmp(&b.at));
     let mut next_event = 0usize;
 
-    // The desired plant state, mutated by events and re-asserted on the
-    // live integrator every interval (each re-assert is a cheap RHS
-    // refresh, negligible next to a solve — and it makes rebuilds, which
-    // reset the RHS to the assembled baseline, impossible to get wrong).
-    let mut overrides: BTreeMap<usize, &PowerMap> = BTreeMap::new();
-    let mut scale = 1.0f64;
-    let mut inlet = thermal.t_inlet;
     let mut forced: Option<Pascal> = None;
     let mut p_cmd = spec.p_initial;
 
@@ -715,17 +706,12 @@ pub fn run_scenario(
     let steps_total = control_steps(spec.duration, spec.dt, spec.control_interval);
     let mut steps_done = 0usize;
 
-    // Integrators persist across intervals and rebuild only on pressure
-    // changes (the advection operator depends on `P_sys`), warm-started
-    // from the latest field.
-    // Built eagerly at `p_initial`; a t = 0 forced-pressure event simply
-    // triggers an immediate rebuild before any step runs.
-    let mut tr = match plant.integrator(spec.p_initial, spec.dt, None) {
+    // One integrator for the whole run, built at `p_initial`; a t = 0
+    // forced-pressure event refreshes it before any step runs.
+    let mut tr = match plant.integrator(spec.p_initial, spec.dt) {
         Ok(t) => t,
         Err(e) => return Err(fail(ctx, e)),
     };
-    let mut built_p = spec.p_initial;
-    let mut snapshot: Option<ThermalSolution> = None;
 
     for step in 0..steps_total {
         ctx.step = step;
@@ -737,9 +723,11 @@ pub fn run_scenario(
         let eps = 1e-9 * t_start.max(1.0);
         while next_event < events.len() && events[next_event].at <= t_start + eps {
             match &events[next_event].action {
-                EventAction::PowerScale { scale: s } => scale = *s,
+                EventAction::PowerScale { scale } => tr.set_power_scale(*scale),
                 EventAction::PowerMap { die, map } => {
-                    overrides.insert(*die, map);
+                    if let Err(e) = tr.set_power_map(*die, map) {
+                        return Err(fail(ctx, e));
+                    }
                 }
                 EventAction::ForcePressure { p_sys } => forced = Some(*p_sys),
                 EventAction::ReleasePressure => {
@@ -749,7 +737,7 @@ pub fn run_scenario(
                         p_cmd = p;
                     }
                 }
-                EventAction::InletTemperature { t_inlet } => inlet = *t_inlet,
+                EventAction::InletTemperature { t_inlet } => tr.set_inlet_temperature(*t_inlet),
             }
             next_event += 1;
             M_EVENTS.inc();
@@ -761,23 +749,12 @@ pub fn run_scenario(
             M_FORCED.inc();
         }
 
-        if built_p != p {
-            // Warm-start the new operator from the latest field.
-            tr = match plant.integrator(p, spec.dt, snapshot.as_ref()) {
-                Ok(t) => t,
-                Err(e) => return Err(fail(ctx, e)),
-            };
-            built_p = p;
-        }
-
-        // Re-assert the desired state on the (possibly rebuilt) plant.
-        for (&die, map) in &overrides {
-            if let Err(e) = tr.set_power_map(die, map) {
+        if tr.pressure() != p {
+            M_INTEGRATOR_REBUILDS.inc();
+            if let Err(e) = tr.set_pressure(p) {
                 return Err(fail(ctx, e));
             }
         }
-        tr.set_inlet_temperature(inlet);
-        tr.set_power_scale(scale);
 
         // The final interval of a non-exact-ratio horizon is clamped to
         // the remainder: a 0.105 s horizon simulates 105 steps, not 110.
@@ -794,17 +771,16 @@ pub fn run_scenario(
         ctx.intervals.push(ScenarioInterval {
             time: t_start,
             interval_s,
-            power_scale: scale,
+            power_scale: tr.power_scale(),
             p_sys: p,
             forced: forced.is_some(),
-            t_inlet: inlet,
+            t_inlet: tr.inlet_temperature(),
             t_max,
             delta_t: snap.gradient(),
             w_pump: flow.pumping_power(p),
             stress: snap.stress_proxy(),
         });
         p_cmd = spec.controller.update(p, t_max);
-        snapshot = Some(snap);
     }
 
     Ok(ScenarioTrace {

@@ -64,37 +64,28 @@ pub(crate) struct Assembled {
     pub cache: ProbeCacheCell,
 }
 
-/// One-time symbolic state of the probe path, built on the first `steady`
-/// call and reused for every subsequent pressure probe.
+/// `A(p) = cond + p · adv_unit` on its fixed union pattern.
 ///
-/// The matrix `A(p) = cond + p · adv_unit` is linear in the system
-/// pressure, so its sparsity pattern never changes: the union pattern, the
-/// slot-aligned split into conduction and unit-advection values and the
-/// ILU(0) symbolic structure can all be computed once. A probe then only
-/// rewrites `nnz` values in place and runs the numeric ILU sweep.
+/// The matrix is linear in the system pressure, so its sparsity pattern
+/// never changes: the union pattern and the slot-aligned split into
+/// conduction and unit-advection values are computed once, and a new
+/// pressure only rewrites `nnz` values in place. Shared by the steady
+/// probe path ([`ProbeCache`]) and the transient integrator.
 #[derive(Debug)]
-pub(crate) struct ProbeCache {
-    /// System matrix on the union pattern; values rewritten per probe.
-    matrix: CsrMatrix,
+pub(crate) struct SplitSystem {
+    /// System matrix on the union pattern; values rewritten per pressure.
+    pub matrix: CsrMatrix,
     /// Conduction (pressure-independent) value per stored slot.
-    base_values: Vec<f64>,
-    /// Unit-advection value per stored slot (scaled by `P_sys` per probe).
-    adv_values: Vec<f64>,
-    /// ILU(0) factor with reusable symbolic structure.
-    ilu: Ilu0,
-    /// Pressure of the last [`refresh`](ProbeCache::refresh); identical
-    /// re-probes (golden-section reuses interior points) skip the numeric
-    /// phase entirely.
-    refreshed_p: Option<f64>,
-    /// Last converged `(p, x)`, for warm-start extrapolation.
-    last: Option<(f64, Vec<f64>)>,
-    /// Next-to-last converged `(p, x)`.
-    prev: Option<(f64, Vec<f64>)>,
+    pub base_values: Vec<f64>,
+    /// Unit-advection value per stored slot (scaled by `P_sys`).
+    pub adv_values: Vec<f64>,
 }
 
-impl ProbeCache {
-    /// Builds the symbolic state for `asm`'s couplings.
-    fn build(asm: &Assembled) -> Self {
+impl SplitSystem {
+    /// Builds the union pattern and the slot split of `asm`'s couplings;
+    /// the matrix values are left at placeholders until
+    /// [`write`](Self::write).
+    pub fn new(asm: &Assembled) -> Self {
         // Union pattern over conduction and advection couplings, assembled
         // with all-positive placeholder values: `from_triplets` drops
         // entries that cancel to exactly zero, and real coefficient pairs
@@ -119,12 +110,56 @@ impl ProbeCache {
                 adv_values[s] += v;
             }
         }
-        let ilu = Ilu0::symbolic(&matrix);
-        M_SYMBOLIC_BUILDS.inc();
         Self {
             matrix,
             base_values,
             adv_values,
+        }
+    }
+
+    /// Rewrites the matrix values as `base + p · adv`.
+    pub fn write(&mut self, p: f64) {
+        let values = self.matrix.values_mut();
+        for ((v, &base), &adv) in values
+            .iter_mut()
+            .zip(&self.base_values)
+            .zip(&self.adv_values)
+        {
+            *v = base + p * adv;
+        }
+    }
+}
+
+/// One-time symbolic state of the probe path, built on the first `steady`
+/// call and reused for every subsequent pressure probe.
+///
+/// The pattern of [`SplitSystem`] never changes with pressure, so the
+/// ILU(0) symbolic structure is computed once too. A probe then only
+/// rewrites `nnz` values in place and runs the numeric ILU sweep.
+#[derive(Debug)]
+pub(crate) struct ProbeCache {
+    /// The system on its union pattern; values rewritten per probe.
+    system: SplitSystem,
+    /// ILU(0) factor with reusable symbolic structure.
+    ilu: Ilu0,
+    /// Pressure of the last [`refresh`](ProbeCache::refresh); identical
+    /// re-probes (golden-section reuses interior points) skip the numeric
+    /// phase entirely.
+    refreshed_p: Option<f64>,
+    /// Last converged `(p, x)`, for warm-start extrapolation.
+    last: Option<(f64, Vec<f64>)>,
+    /// Next-to-last converged `(p, x)`.
+    prev: Option<(f64, Vec<f64>)>,
+}
+
+impl ProbeCache {
+    /// Builds the symbolic state for `asm`'s couplings.
+    fn build(asm: &Assembled) -> Self {
+        let system = SplitSystem::new(asm);
+        let ilu = Ilu0::symbolic(&system.matrix);
+        M_SYMBOLIC_BUILDS.inc();
+        Self {
+            system,
             ilu,
             refreshed_p: None,
             last: None,
@@ -141,15 +176,8 @@ impl ProbeCache {
             return;
         }
         M_REFRESHES.inc();
-        let values = self.matrix.values_mut();
-        for ((v, &base), &adv) in values
-            .iter_mut()
-            .zip(&self.base_values)
-            .zip(&self.adv_values)
-        {
-            *v = base + p * adv;
-        }
-        self.ilu.refactor(&self.matrix);
+        self.system.write(p);
+        self.ilu.refactor(&self.system.matrix);
         self.refreshed_p = Some(p);
     }
 
@@ -313,8 +341,13 @@ impl Assembled {
         let rhs = self.rhs_at(p_sys.value(), config.t_inlet.value());
         // BiCGSTAB with the cached ILU(0); the direct step only runs when
         // it fails.
-        let solution =
-            resilience::solve(Krylov::Bicgstab, &cache.matrix, &rhs, &cache.ilu, &options)?;
+        let solution = resilience::solve(
+            Krylov::Bicgstab,
+            &cache.system.matrix,
+            &rhs,
+            &cache.ilu,
+            &options,
+        )?;
         cache.record(p_sys.value(), &solution.solution);
         Ok(self.extract(solution.solution, solution.stats))
     }

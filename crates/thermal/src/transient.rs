@@ -5,8 +5,13 @@
 //! capacities `C`, backward Euler solves
 //! `(C/Δt + A)·T^{k+1} = (C/Δt)·T^k + b` each step — unconditionally
 //! stable, so large steps are safe.
+//!
+//! One [`Transient`] serves a whole run. `A(P_sys)` has a pattern that
+//! does not depend on the pressure, so the integrator computes the union
+//! pattern and the ILU(0) symbolic structure once, and a pressure change
+//! ([`Transient::set_pressure`]) only rewrites values and refactors.
 
-use crate::assembly::Assembled;
+use crate::assembly::{Assembled, SplitSystem};
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
 use crate::fourrm::FourRm;
@@ -15,7 +20,7 @@ use crate::solution::{Resolution, ThermalSolution};
 use crate::tworm::TwoRm;
 use coolnet_sparse::precond::Ilu0;
 use coolnet_sparse::resilience::{self, Krylov};
-use coolnet_sparse::{CsrMatrix, SolveStats, SolverOptions};
+use coolnet_sparse::{SolveStats, SolverOptions};
 use coolnet_units::{Kelvin, Pascal};
 
 /// A transient integrator over one of the compact models.
@@ -27,22 +32,31 @@ use coolnet_units::{Kelvin, Pascal};
 pub struct Transient<'a> {
     assembled: &'a Assembled,
     config: ThermalConfig,
-    matrix: CsrMatrix,
+    /// `A(p)` on its fixed pattern; the matrix holds `C/dt + A(p_sys)`.
+    system: SplitSystem,
+    /// Stored slot of each row's diagonal, where `C/dt` is added.
+    diag_slots: Vec<usize>,
     precond: Ilu0,
     /// Die-power part of the RHS (unscaled).
     rhs_power: Vec<f64>,
     /// Inlet-advection part of the RHS (fixed for a given pressure and
     /// inlet temperature).
     rhs_inlet: Vec<f64>,
-    /// System pressure this integrator was built at (the advection
-    /// operator bakes it in).
+    /// System pressure the operator is at (the advection part bakes it
+    /// in).
     p_sys: f64,
     /// Current coolant inlet temperature in kelvin.
     t_inlet: f64,
     /// Run-time multiplier on the die power (DVFS modeling).
     power_scale: f64,
     cap_over_dt: Vec<f64>,
+    /// The field at the current time level `Tᵏ`.
     temps: Vec<f64>,
+    /// The two earlier time levels `Tᵏ⁻¹` and `Tᵏ⁻²`, valid as far as
+    /// `levels` says; they only seed the initial iterate of a step.
+    prev: [Vec<f64>; 2],
+    /// Stored time levels, counting `temps` (1 to 3).
+    levels: usize,
     dt: f64,
     time: f64,
     last_stats: SolveStats,
@@ -97,44 +111,77 @@ impl<'a> Transient<'a> {
         if p_sys.value() <= 0.0 || dt <= 0.0 {
             return Err(ThermalError::ZeroFlow);
         }
-        let (mut matrix, _) = assembled.system(p_sys, config.t_inlet.value());
-        let rhs_power = assembled.rhs_source.clone();
-        let rhs_inlet: Vec<f64> = assembled
-            .rhs_inlet_unit
-            .iter()
-            .map(|&g| g * p_sys.value() * config.t_inlet.value())
-            .collect();
+        let system = SplitSystem::new(assembled);
+        let diag_slots = (0..assembled.n)
+            .map(|i| {
+                system
+                    .matrix
+                    .slot(i, i)
+                    .ok_or_else(|| ThermalError::BadStack {
+                        reason: format!("thermal system row {i} has no diagonal entry"),
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let precond = Ilu0::symbolic(&system.matrix);
         let n = assembled.n;
-        let cap_over_dt: Vec<f64> = assembled.capacitance.iter().map(|c| c / dt).collect();
-        // (C/dt + A), adding C/dt onto A's stored diagonal in place.
-        for (i, &c) in cap_over_dt.iter().enumerate() {
-            let slot = matrix.slot(i, i).ok_or_else(|| ThermalError::BadStack {
-                reason: format!("thermal system row {i} has no diagonal entry"),
-            })?;
-            matrix.values_mut()[slot] += c;
-        }
-        let precond = Ilu0::new(&matrix);
         let temps = match initial {
             Some(sol) => sol.all_temperatures().to_vec(),
             None => vec![config.t_inlet.value(); n],
         };
         let t_inlet = config.t_inlet.value();
-        Ok(Self {
+        let mut tr = Self {
             assembled,
             config,
-            matrix,
+            system,
+            diag_slots,
             precond,
-            rhs_power,
-            rhs_inlet,
+            rhs_power: assembled.rhs_source.clone(),
+            rhs_inlet: vec![0.0; n],
             p_sys: p_sys.value(),
             t_inlet,
             power_scale: 1.0,
-            cap_over_dt,
+            cap_over_dt: assembled.capacitance.iter().map(|c| c / dt).collect(),
             temps,
+            prev: [Vec::new(), Vec::new()],
+            levels: 1,
             dt,
             time: 0.0,
             last_stats: SolveStats::default(),
-        })
+        };
+        tr.set_pressure(p_sys)?;
+        Ok(tr)
+    }
+
+    /// Moves the operator to system pressure `p_sys` from the next step
+    /// on — the pump-control hook. The matrix values are rewritten as
+    /// `C/dt + A(p_sys)` on the cached pattern, the ILU(0) factor is
+    /// refactored on its cached structure and the inlet part of the RHS is
+    /// rescaled. The field, its time-level history, the power map, the
+    /// power scale and the inlet temperature are kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::ZeroFlow`] for a non-positive or non-finite
+    /// pressure; the integrator is then unchanged.
+    pub fn set_pressure(&mut self, p_sys: Pascal) -> Result<(), ThermalError> {
+        let p = p_sys.value();
+        if !(p.is_finite() && p > 0.0) {
+            return Err(ThermalError::ZeroFlow);
+        }
+        self.system.write(p);
+        let values = self.system.matrix.values_mut();
+        for (&slot, &c) in self.diag_slots.iter().zip(&self.cap_over_dt) {
+            values[slot] += c;
+        }
+        self.precond.refactor(&self.system.matrix);
+        self.p_sys = p;
+        self.set_inlet_temperature(Kelvin::new(self.t_inlet));
+        Ok(())
+    }
+
+    /// The system pressure the operator is at.
+    pub fn pressure(&self) -> Pascal {
+        Pascal::new(self.p_sys)
     }
 
     /// Scales the die power by `scale` from the next step on — the DVFS
@@ -254,6 +301,12 @@ impl<'a> Transient<'a> {
 
     /// Advances one backward-Euler step.
     ///
+    /// BiCGSTAB starts from the field extrapolated in time through the
+    /// last three time levels, `3Tᵏ − 3Tᵏ⁻¹ + Tᵏ⁻²` (linear, then `Tᵏ`,
+    /// while fewer are stored), so a smooth trajectory costs fewer
+    /// iterations than a start from `Tᵏ`; the converged field does not
+    /// depend on the start beyond the solver tolerance.
+    ///
     /// # Errors
     ///
     /// Returns [`ThermalError::Solver`] if both steps of the solve fail.
@@ -265,16 +318,23 @@ impl<'a> Transient<'a> {
             .zip(self.cap_over_dt.iter().zip(&self.temps))
             .map(|((&q, &inlet), (&c, &t))| q * self.power_scale + inlet + c * t)
             .collect();
+        let [prev1, prev2] = &self.prev;
+        let history = [&self.temps[..], &prev1[..], &prev2[..]];
         let mut options = SolverOptions::with_tolerance(self.config.tolerance);
-        options.initial_guess = Some(self.temps.clone());
+        options.initial_guess = Some(extrapolate(&history[..self.levels]));
         let sol = resilience::solve(
             Krylov::Bicgstab,
-            &self.matrix,
+            &self.system.matrix,
             &rhs,
             &self.precond,
             &options,
         )?;
+        // Shift the time levels: Tᵏ⁻¹ becomes Tᵏ⁻², Tᵏ becomes Tᵏ⁻¹.
+        let [prev1, prev2] = &mut self.prev;
+        std::mem::swap(prev1, prev2);
+        std::mem::swap(prev1, &mut self.temps);
         self.temps = sol.solution;
+        self.levels = (self.levels + 1).min(3);
         self.last_stats = sol.stats;
         self.time += self.dt;
         Ok(())
@@ -298,6 +358,26 @@ impl<'a> Transient<'a> {
     }
 }
 
+/// The field at the next time level extrapolated from the latest ones,
+/// `history = [Tᵏ, Tᵏ⁻¹, Tᵏ⁻²]` (newest first, one to three levels):
+/// quadratic `3Tᵏ − 3Tᵏ⁻¹ + Tᵏ⁻²` with three, linear `2Tᵏ − Tᵏ⁻¹` with
+/// two, `Tᵏ` itself with one. Exact for fields polynomial in time up to
+/// that degree. The differences are formed first, so the rounding error
+/// scales with the change between levels, not with the temperatures.
+fn extrapolate(history: &[&[f64]]) -> Vec<f64> {
+    match *history {
+        [t0, t1, t2] => t0
+            .iter()
+            .zip(t1)
+            .zip(t2)
+            .map(|((&a, &b), &c)| c + 3.0 * (a - b))
+            .collect(),
+        [t0, t1] => t0.iter().zip(t1).map(|(&a, &b)| a + (a - b)).collect(),
+        [t0, ..] => t0.to_vec(),
+        [] => Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +385,6 @@ mod tests {
     use crate::stack::Stack;
     use coolnet_grid::{Cell, Dir, GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
-    use coolnet_sparse::TripletBuilder;
 
     fn channels(dims: GridDims) -> CoolingNetwork {
         let mut b = CoolingNetwork::builder(dims);
@@ -423,10 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn in_place_diagonal_matches_a_triplet_rebuild() {
-        // Both models store a diagonal in every row on single- and two-die
-        // stacks, and adding C/dt there gives the bits of re-merging A's
-        // entries with C/dt through a fresh TripletBuilder.
+    fn refreshed_integrator_matches_a_fresh_build() {
+        // On single- and two-die stacks, for both models: an integrator
+        // built at p1 and refreshed to p2 holds the pattern and the value
+        // bits of one built at p2, and those values are C/dt + A(p2) of
+        // the reference assembly up to the rounding of the slot split.
         let dims = GridDims::new(9, 9);
         let two_die = Stack::interlayer(
             dims,
@@ -437,30 +517,152 @@ mod tests {
         )
         .unwrap();
         let config = ThermalConfig::default();
-        let (p, dt) = (Pascal::from_kilopascals(5.0), 1e-3);
-        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (p1, p2, dt) = (
+            Pascal::from_kilopascals(5.0),
+            Pascal::from_kilopascals(2.0),
+            1e-3,
+        );
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for s in [stack(dims, 3.0), two_die] {
             let four = FourRm::new(&s, &config).unwrap();
             let two = TwoRm::new(&s, 3, &config).unwrap();
-            for (assembled, tr) in [
-                (four.assembled(), four.transient(p, dt, None).unwrap()),
-                (two.assembled(), two.transient(p, dt, None).unwrap()),
+            for (assembled, mut refreshed, mut fresh) in [
+                (
+                    four.assembled(),
+                    four.transient(p1, dt, None).unwrap(),
+                    four.transient(p2, dt, None).unwrap(),
+                ),
+                (
+                    two.assembled(),
+                    two.transient(p1, dt, None).unwrap(),
+                    two.transient(p2, dt, None).unwrap(),
+                ),
             ] {
-                let (a, _) = assembled.system(p, config.t_inlet.value());
-                assert!((0..a.rows()).all(|i| a.slot(i, i).is_some()));
-                let mut b = TripletBuilder::new(a.rows(), a.cols());
-                for (r, c, v) in a.iter() {
-                    b.add(r, c, v);
+                refreshed.set_pressure(p2).unwrap();
+                let (m, f) = (&refreshed.system.matrix, &fresh.system.matrix);
+                assert_eq!(m.row_ptr(), f.row_ptr());
+                assert_eq!(m.col_indices(), f.col_indices());
+                assert_eq!(bits(m.values()), bits(f.values()));
+                assert_eq!(bits(&refreshed.rhs_inlet), bits(&fresh.rhs_inlet));
+
+                let (a, _) = assembled.system(p2, config.t_inlet.value());
+                for (r, c, v) in m.iter() {
+                    let mut want = a.slot(r, c).map_or(0.0, |k| a.values()[k]);
+                    if r == c {
+                        want += assembled.capacitance[r] / dt;
+                    }
+                    assert!(
+                        (v - want).abs() <= 1e-14 * want.abs(),
+                        "({r}, {c}): {v} vs {want}"
+                    );
                 }
-                for (i, &c) in assembled.capacitance.iter().enumerate() {
-                    b.add(i, i, c / dt);
-                }
-                let rebuilt = b.to_csr();
-                assert_eq!(tr.matrix.row_ptr(), rebuilt.row_ptr());
-                assert_eq!(tr.matrix.col_indices(), rebuilt.col_indices());
-                assert_eq!(bits(&tr.matrix), bits(&rebuilt));
+                // Every reference entry is on the shared pattern.
+                assert!(a.iter().all(|(r, c, _)| m.slot(r, c).is_some()));
+
+                // The refactored ILU(0) and the rescaled RHS give the same
+                // step as the fresh build, bit for bit.
+                refreshed.step().unwrap();
+                fresh.step().unwrap();
+                assert_eq!(
+                    bits(refreshed.snapshot().all_temperatures()),
+                    bits(fresh.snapshot().all_temperatures())
+                );
             }
         }
+    }
+
+    #[test]
+    fn pressure_refresh_continues_like_a_fresh_integrator() {
+        // k steps at p1, a refresh to p2 and m more steps end where a fresh
+        // integrator at p2, started from the field after the k steps, ends
+        // after the same m steps: the refresh keeps the field, and the
+        // carried time-level history only moves the Krylov start.
+        let dims = GridDims::new(9, 9);
+        let s = stack(dims, 3.0);
+        // Two solves of one system that start from different iterates
+        // differ by the solver tolerance: at the default 1e-8 that alone
+        // is 4e-6 K here, at 1e-10 it is about 1e-8 K.
+        let config = ThermalConfig {
+            tolerance: 1e-10,
+            ..ThermalConfig::default()
+        };
+        let sim = FourRm::new(&s, &config).unwrap();
+        let (p1, p2, dt) = (
+            Pascal::from_kilopascals(5.0),
+            Pascal::from_kilopascals(2.0),
+            1e-3,
+        );
+        let (k, m) = (15, 20);
+        let mut tr = sim.transient(p1, dt, None).unwrap();
+        tr.run(k).unwrap();
+        let at_switch = tr.snapshot();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                tr.set_pressure(Pascal::new(bad)),
+                Err(ThermalError::ZeroFlow)
+            ));
+        }
+        assert_eq!(tr.pressure(), p1);
+        tr.set_pressure(p2).unwrap();
+        assert_eq!(tr.pressure(), p2);
+        tr.run(m).unwrap();
+        let mut fresh = sim.transient(p2, dt, Some(&at_switch)).unwrap();
+        fresh.run(m).unwrap();
+        let (a, b) = (tr.snapshot(), fresh.snapshot());
+        let worst = a
+            .all_temperatures()
+            .iter()
+            .zip(b.all_temperatures())
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        assert!(worst < 1e-6, "max |ΔT| = {worst} K");
+        // The run really moved: the lower pressure heats the die.
+        assert!(a.max_temperature().value() > at_switch.max_temperature().value());
+    }
+
+    #[test]
+    fn extrapolation_is_exact_for_polynomials_in_time() {
+        // Per node T(t) = a + b·t + c·t² at t = 0, 1, 2 (oldest first); the
+        // guess for t = 3 must match to rounding with three levels, a
+        // linear field with two, and a constant one with one.
+        let coeffs: Vec<(f64, f64, f64)> = (0..50)
+            .map(|i| {
+                let x = i as f64;
+                (300.0 + 0.37 * x, 0.05 * (x - 20.0), 1e-3 * (7.0 - 0.3 * x))
+            })
+            .collect();
+        let field = |t: f64, degree: usize| -> Vec<f64> {
+            coeffs
+                .iter()
+                .map(|&(a, b, c)| match degree {
+                    0 => a,
+                    1 => a + b * t,
+                    _ => a + b * t + c * t * t,
+                })
+                .collect()
+        };
+        for degree in 0..3 {
+            let levels: Vec<Vec<f64>> = (0..=degree)
+                .map(|back| field((2 - back) as f64, degree))
+                .collect();
+            let history: Vec<&[f64]> = levels.iter().map(|v| &v[..]).collect();
+            let guess = extrapolate(&history);
+            for (g, want) in guess.iter().zip(field(3.0, degree)) {
+                assert!(
+                    (g - want).abs() <= 4.0 * f64::EPSILON * want.abs(),
+                    "degree {degree}: {g} vs {want}"
+                );
+            }
+        }
+        // One level short of the degree, the guess is no longer exact.
+        let quadratic = [field(2.0, 2), field(1.0, 2)];
+        let history: Vec<&[f64]> = quadratic.iter().map(|v| &v[..]).collect();
+        let worst = extrapolate(&history)
+            .iter()
+            .zip(field(3.0, 2))
+            .map(|(g, w)| (g - w).abs())
+            .fold(0.0, f64::max);
+        assert!(worst > 1e-3, "{worst}");
     }
 
     #[test]
