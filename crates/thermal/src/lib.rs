@@ -81,5 +81,5 @@ pub use error::ThermalError;
 pub use fourrm::FourRm;
 pub use power::PowerMap;
 pub use solution::ThermalSolution;
-pub use stack::{Layer, LayerKind, Stack};
+pub use stack::{Layer, LayerFlows, LayerKind, Stack};
 pub use tworm::TwoRm;

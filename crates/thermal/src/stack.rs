@@ -2,7 +2,7 @@
 
 use crate::error::ThermalError;
 use crate::power::PowerMap;
-use coolnet_flow::{FlowConfig, WidthMap};
+use coolnet_flow::{FlowConfig, FlowModel, WidthMap};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_units::Material;
@@ -338,6 +338,75 @@ impl Stack {
     }
 }
 
+/// The hydraulic model of every channel layer of a [`Stack`].
+///
+/// The solve is a pure function of a layer's network, flow configuration
+/// and width map, so layers that agree on all three share one model: a
+/// matched multi-die stack repeats one network in every channel layer and
+/// pays for one solve.
+#[derive(Debug, Clone)]
+pub struct LayerFlows {
+    /// One model per distinct `(network, flow, widths)`.
+    models: Vec<FlowModel>,
+    /// `(layer index, model index)` per channel layer, bottom to top.
+    layers: Vec<(usize, usize)>,
+}
+
+impl LayerFlows {
+    /// Solves the hydraulics of every channel layer of `stack`, once per
+    /// distinct `(network, flow, widths)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::Flow`] for the first layer whose hydraulic
+    /// model cannot be built.
+    pub fn new(stack: &Stack) -> Result<Self, ThermalError> {
+        let channel = |li: usize| match &stack.layers[li].kind {
+            LayerKind::Channel {
+                network,
+                flow,
+                widths,
+                ..
+            } => Some((network, flow, widths)),
+            _ => None,
+        };
+        let mut models = Vec::new();
+        // The layer each model was solved for, parallel to `models`.
+        let mut solved_for: Vec<usize> = Vec::new();
+        let mut layers = Vec::new();
+        for li in stack.channel_layer_indices() {
+            let Some(key) = channel(li) else { continue };
+            let mi = match solved_for.iter().position(|&s| channel(s) == Some(key)) {
+                Some(mi) => mi,
+                None => {
+                    let (network, flow, widths) = key;
+                    models.push(FlowModel::with_widths(network, flow, widths.as_ref())?);
+                    solved_for.push(li);
+                    models.len() - 1
+                }
+            };
+            layers.push((li, mi));
+        }
+        Ok(Self { models, layers })
+    }
+
+    /// Each channel layer's index in the stack with its model, bottom to
+    /// top.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (usize, &FlowModel)> + '_ {
+        self.layers.iter().map(|&(li, mi)| (li, &self.models[mi]))
+    }
+
+    /// Number of channel layers.
+    pub fn len(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Whether the stack has no channel layer.
+    pub fn is_empty(&self) -> bool {
+        self.layers.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +448,37 @@ mod tests {
         let nets = [small_network(dims), small_network(dims)];
         let stack = Stack::interlayer(dims, 100e-6, vec![p.clone(), p], &nets, 200e-6).unwrap();
         assert_eq!(stack.channel_layer_indices().len(), 2);
+    }
+
+    #[test]
+    fn layer_flows_solve_each_distinct_layer_once() {
+        let dims = GridDims::new(5, 5);
+        let p = PowerMap::uniform(dims, 10.0);
+        let net = small_network(dims);
+        let shared =
+            Stack::interlayer(dims, 100e-6, vec![p.clone(), p.clone()], &[net], 200e-6).unwrap();
+        let flows = LayerFlows::new(&shared).unwrap();
+        let layers: Vec<_> = flows.iter().collect();
+        assert_eq!(layers.len(), 2);
+        assert_eq!((layers[0].0, layers[1].0), (2, 4));
+        assert!(std::ptr::eq(layers[0].1, layers[1].1), "one shared solve");
+
+        // A different network in the second channel layer gets its own.
+        let mut other = CoolingNetwork::builder(dims);
+        for y in (1..dims.height()).step_by(2) {
+            other.segment(Cell::new(0, y), Dir::East, dims.width());
+        }
+        other.port(PortKind::Inlet, Side::West, 0, dims.height() - 1);
+        other.port(PortKind::Outlet, Side::East, 0, dims.height() - 1);
+        let nets = [small_network(dims), other.build().unwrap()];
+        let split = Stack::interlayer(dims, 100e-6, vec![p.clone(), p], &nets, 200e-6).unwrap();
+        let flows = LayerFlows::new(&split).unwrap();
+        let layers: Vec<_> = flows.iter().collect();
+        assert!(!std::ptr::eq(layers[0].1, layers[1].1));
+        assert_ne!(
+            layers[0].1.system_resistance(),
+            layers[1].1.system_resistance()
+        );
     }
 
     #[test]
