@@ -11,7 +11,7 @@
 //!
 //! * the **built artifacts** — the [`CoolingNetwork`] and a warm
 //!   [`Evaluator`] (hydraulics + thermal assembly done once); and
-//! * the **computed scores** — one `(value, pressure)` pair per
+//! * the **computed scores** — one `(value, operating point)` pair per
 //!   [`ScoreKey`], so a repeated evaluation is a lookup, not a solve.
 //!
 //! Transparency is the design constraint: with the cache on, a search must
@@ -25,7 +25,7 @@
 //! entry is evicted (a full evaluator holds a factored thermal system, so
 //! unbounded growth would dominate memory on long schedules).
 
-use crate::evaluate::{Evaluator, ModelChoice};
+use crate::evaluate::{Evaluator, ModelChoice, OperatingPoint};
 use crate::Problem;
 use coolnet_network::builders::tree::TreeConfig;
 use coolnet_network::CoolingNetwork;
@@ -93,7 +93,7 @@ enum Built {
 
 struct Entry {
     built: Built,
-    scores: Map<ScoreKey, (f64, Option<Pascal>)>,
+    scores: Map<ScoreKey, (f64, Option<OperatingPoint>)>,
 }
 
 struct Slot {
@@ -154,7 +154,7 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// The memoized `(value, pressure)` of `key` on `(config, model)`,
+    /// The memoized `(value, operating point)` of `key` on `(config, model)`,
     /// computing and memoizing it on a miss.
     ///
     /// On a miss, `build` runs first if the entry has never been built
@@ -169,10 +169,10 @@ impl EvalCache {
         key: ScoreKey,
         build: B,
         compute: C,
-    ) -> (f64, Option<Pascal>)
+    ) -> (f64, Option<OperatingPoint>)
     where
         B: FnOnce() -> Option<BuiltEval>,
-        C: FnOnce(&Evaluator) -> (f64, Option<Pascal>),
+        C: FnOnce(&Evaluator) -> (f64, Option<OperatingPoint>),
     {
         self.eval_scoped(0, config, model, key, build, compute)
     }
@@ -193,10 +193,10 @@ impl EvalCache {
         key: ScoreKey,
         build: B,
         compute: C,
-    ) -> (f64, Option<Pascal>)
+    ) -> (f64, Option<OperatingPoint>)
     where
         B: FnOnce() -> Option<BuiltEval>,
-        C: FnOnce(&Evaluator) -> (f64, Option<Pascal>),
+        C: FnOnce(&Evaluator) -> (f64, Option<OperatingPoint>),
     {
         let entry = self.slot(scope, config, model);
         let mut entry = lock(&entry);

@@ -66,7 +66,7 @@ pub mod widthmod;
 
 pub use control::{CancelToken, CutPoint, SearchControl, StopReason};
 pub use differential::{run_case, CaseReport, DiffConfig};
-pub use evaluate::{Evaluator, ModelChoice, Profile};
+pub use evaluate::{Evaluator, ModelChoice, OperatingPoint, Profile};
 pub use netscore::{evaluate_problem1, evaluate_problem2, NetworkScore};
 pub use result::DesignResult;
 pub use scenario::{

@@ -1,6 +1,6 @@
 //! Final design results, measured with the accurate model.
 
-use crate::evaluate::{Evaluator, ModelChoice};
+use crate::evaluate::{Evaluator, ModelChoice, OperatingPoint};
 use crate::netscore::{evaluate_problem1, evaluate_problem2, NetworkScore};
 use crate::psearch::PressureSearchOptions;
 use crate::Problem;
@@ -70,16 +70,29 @@ impl DesignResult {
             }
         };
         Ok(match score {
-            NetworkScore::Feasible { p_sys, profile, .. } => Some(Self {
-                label: label.into(),
-                network: network.clone(),
-                p_sys,
-                w_pump: ev.w_pump(p_sys),
-                t_max: profile.t_max,
-                delta_t: profile.delta_t,
-            }),
+            NetworkScore::Feasible { p_sys, profile, .. } => Some(Self::at(
+                label,
+                network.clone(),
+                OperatingPoint {
+                    p_sys,
+                    profile,
+                    w_pump: ev.w_pump(p_sys),
+                },
+            )),
             NetworkScore::Infeasible => None,
         })
+    }
+
+    /// Packages a network and the operating point its evaluation selected.
+    pub fn at(label: impl Into<String>, network: CoolingNetwork, point: OperatingPoint) -> Self {
+        Self {
+            label: label.into(),
+            network,
+            p_sys: point.p_sys,
+            w_pump: point.w_pump,
+            t_max: point.profile.t_max,
+            delta_t: point.profile.delta_t,
+        }
     }
 
     /// The objective value under `problem` (used for picking winners).

@@ -10,7 +10,7 @@
 
 use crate::control::{CutPoint, SearchControl};
 use crate::evalcache::{BuiltEval, EvalCache, ScoreKey};
-use crate::evaluate::{Evaluator, ModelChoice};
+use crate::evaluate::{Evaluator, ModelChoice, OperatingPoint};
 use crate::netscore::{evaluate_problem1, evaluate_problem2, NetworkScore};
 use crate::pool::Pool;
 use crate::psearch::PressureSearchOptions;
@@ -350,8 +350,8 @@ pub struct EvalRequest {
     pub kind: EvalKind,
 }
 
-/// `(cost, optimal pressure if a full evaluation found one)`.
-pub type EvalResponse = (f64, Option<Pascal>);
+/// `(cost, the operating point if a full evaluation found a feasible one)`.
+pub type EvalResponse = (f64, Option<OperatingPoint>);
 
 /// An external batch-execution substrate for candidate scoring — the seam
 /// a multi-job service plugs its process-wide solver pool into (see
@@ -518,8 +518,17 @@ impl RequestScorer {
         match kind {
             EvalKind::Full => match self.full_score(ev) {
                 Some(NetworkScore::Feasible {
-                    p_sys, objective, ..
-                }) => (objective, Some(p_sys)),
+                    p_sys,
+                    objective,
+                    profile,
+                }) => (
+                    objective,
+                    Some(OperatingPoint {
+                        p_sys,
+                        profile,
+                        w_pump: ev.w_pump(p_sys),
+                    }),
+                ),
                 _ => (f64::INFINITY, None),
             },
             EvalKind::GradientAt(p) => match ev.profile(p).map_err(count_solver_error) {
@@ -728,7 +737,7 @@ impl<'a> TreeSearch<'a> {
         let mut best: Option<DesignResult> = None;
         let mut cut: Option<CutPoint> = None;
         for (fi, &flow) in self.opts.flows.iter().enumerate() {
-            let flow_run = self.run_flow(problem, flow, fi as u64, control, exec);
+            let flow_run = self.run_flow(flow, fi as u64, control, exec);
             if let Some(result) = flow_run.result {
                 let better = match &best {
                     None => true,
@@ -811,7 +820,6 @@ impl<'a> TreeSearch<'a> {
 
     fn run_flow(
         &self,
-        problem: Problem,
         flow: GlobalFlow,
         flow_seed: u64,
         control: &SearchControl,
@@ -922,23 +930,30 @@ impl<'a> TreeSearch<'a> {
         // Final measurement with the last stage's model (paper: stage 4 is
         // 4RM, so the reported numbers come from the accurate model). An
         // interrupted flow measures its best-so-far incumbent the same way,
-        // so a degraded artifact reports accurate-model numbers too.
+        // so a degraded artifact reports accurate-model numbers too. The
+        // full evaluation goes through the evaluation layer: the last
+        // stage's rescoring has usually memoized it already, and a
+        // recomputation replays a fresh evaluator bit for bit.
         let final_model = self
             .opts
             .stages
             .last()
             .map_or(ModelChoice::FourRm, |s| s.model);
-        let result = self.build(&current).and_then(|net| {
-            DesignResult::measure_with_model(
-                self.bench,
-                &net,
-                problem,
+        let (_, point) = score_one(
+            exec,
+            EvalRequest {
+                config: current.clone(),
+                model: final_model,
+                kind: EvalKind::Full,
+            },
+        );
+        let result = point.and_then(|point| {
+            let net = self.build(&current)?;
+            Some(DesignResult::at(
                 format!("tree-like SA ({flow})"),
-                &self.opts.psearch,
-                final_model,
-            )
-            .ok()
-            .flatten()
+                net,
+                point,
+            ))
         });
         FlowRun { result, cut }
     }
@@ -960,7 +975,7 @@ impl<'a> TreeSearch<'a> {
         // initial configuration (fallback: the search default).
         let mut fixed_p = match stage.metric {
             StageMetric::FixedPressureGradient => {
-                let (_, p) = score_one(
+                let (_, point) = score_one(
                     exec,
                     EvalRequest {
                         config: init.clone(),
@@ -968,7 +983,7 @@ impl<'a> TreeSearch<'a> {
                         kind: EvalKind::Full,
                     },
                 );
-                Some(p.unwrap_or(Pascal::new(self.opts.psearch.p_init)))
+                Some(point.map_or(Pascal::new(self.opts.psearch.p_init), |o| o.p_sys))
             }
             StageMetric::Full => None,
         };
@@ -1008,7 +1023,7 @@ impl<'a> TreeSearch<'a> {
             // from a full evaluation of the incumbent at each group
             // boundary.
             if stage.metric == StageMetric::Full && stage.group > 1 && it % stage.group == 0 {
-                let (cost, p) = score_one(
+                let (cost, point) = score_one(
                     exec,
                     EvalRequest {
                         config: current.clone(),
@@ -1021,8 +1036,8 @@ impl<'a> TreeSearch<'a> {
                 // last known frozen pressure instead of clearing it (a
                 // cleared pressure silently degrades the rest of the group
                 // to full evaluations, forfeiting the grouping speed-up).
-                if p.is_some() {
-                    fixed_p = p;
+                if let Some(point) = point {
+                    fixed_p = Some(point.p_sys);
                 }
                 if cost < best_cost {
                     best = current.clone();
@@ -1107,6 +1122,18 @@ mod tests {
     /// Scores every batch serially on the calling thread.
     struct SerialExec<F>(F);
 
+    /// A scripted operating point at `p` (the metrics are placeholders).
+    fn point_at(p_sys: Pascal) -> OperatingPoint {
+        OperatingPoint {
+            p_sys,
+            profile: crate::evaluate::Profile {
+                t_max: coolnet_units::Kelvin::new(300.0),
+                delta_t: coolnet_units::Kelvin::new(0.0),
+            },
+            w_pump: coolnet_units::Watt::new(0.0),
+        }
+    }
+
     impl<F: Fn(&EvalRequest) -> EvalResponse + Sync> EvalExec for SerialExec<F> {
         fn score_batch(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
             reqs.iter().map(&self.0).collect()
@@ -1184,8 +1211,10 @@ mod tests {
             model,
             kind: EvalKind::Full,
         });
-        let p = p.expect("initial config must be feasible on case 1");
+        let point = p.expect("initial config must be feasible on case 1");
+        let p = point.p_sys;
         assert!(obj.is_finite() && obj > 0.0);
+        assert_eq!(point.w_pump.value().to_bits(), obj.to_bits());
         // At the frozen optimal pressure, the in-group score must equal
         // the full objective exactly (it is W_pump at the same pressure,
         // and the constraints hold there by construction).
@@ -1266,7 +1295,7 @@ mod tests {
                     *n += 1;
                     log.lock().unwrap_or_else(|p| p.into_inner()).push('F');
                     if *n <= 2 {
-                        (100.0, Some(Pascal::new(5000.0)))
+                        (100.0, Some(point_at(Pascal::new(5000.0))))
                     } else {
                         (f64::INFINITY, None)
                     }
@@ -1448,7 +1477,7 @@ mod tests {
         impl EvalExec for FirstOnly {
             fn score_batch(&self, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
                 let echo = |r: &EvalRequest| match r.kind {
-                    EvalKind::GradientAt(p) => (p.value(), Some(p)),
+                    EvalKind::GradientAt(p) => (p.value(), Some(point_at(p))),
                     _ => (f64::NAN, None),
                 };
                 reqs.iter().take(1).map(echo).collect()
@@ -1466,10 +1495,10 @@ mod tests {
         };
         let out = score_all(&FirstOnly, vec![req(1.0), req(2.0), req(3.0)]);
         let pad = (f64::INFINITY, None);
-        assert_eq!(out, vec![(1.0, Some(Pascal::new(1.0))), pad, pad]);
+        assert_eq!(out, vec![(1.0, Some(point_at(Pascal::new(1.0)))), pad, pad]);
         assert_eq!(
             score_one(&FirstOnly, req(5.0)),
-            (5.0, Some(Pascal::new(5.0)))
+            (5.0, Some(point_at(Pascal::new(5.0))))
         );
     }
 

@@ -11,7 +11,7 @@
 
 use coolnet::opt::evalcache::EvalCache;
 use coolnet::opt::sa::{anneal_with_stats, SaOptions};
-use coolnet::opt::treeopt::{EvalKind, EvalRequest, RequestScorer};
+use coolnet::opt::treeopt::{EvalKind, EvalRequest, EvalResponse, RequestScorer};
 use coolnet::opt::ScenarioError;
 use coolnet::prelude::*;
 use coolnet::sparse::resilience::fault::{self, FaultKind, FaultPlan};
@@ -273,7 +273,7 @@ fn solver_errors_are_counted_apart_from_infeasible_candidates() {
     let solver_errors = |before: &coolnet::obs::MetricsSnapshot| {
         coolnet::obs::snapshot().counter_delta(before, "eval.solver_errors")
     };
-    let infinite = |(cost, p): (f64, Option<Pascal>)| cost == f64::INFINITY && p.is_none();
+    let infinite = |(cost, p): EvalResponse| cost == f64::INFINITY && p.is_none();
     let exhausted = || FaultPlan::fail_first(100_000, FaultKind::NotConverged);
     let p = Pascal::from_kilopascals(5.0);
 
