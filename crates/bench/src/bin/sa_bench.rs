@@ -24,9 +24,10 @@
 //! snapshot deltas scoped to the reused arm.
 //!
 //! `--threads-sweep` additionally replays each problem at 1, 2 and 4
-//! worker threads (reuse on, candidate count fixed by the schedule) and
-//! records whether every count produced a bit-identical design — the
-//! dynamic evidence behind the multicore determinism claim.
+//! worker threads (reuse on, candidate count fixed by the schedule), five
+//! times interleaved, and records whether every run produced a
+//! bit-identical design — the dynamic evidence behind the multicore
+//! determinism claim — plus the minimum wall time per count.
 
 #![forbid(unsafe_code)]
 
@@ -115,10 +116,11 @@ struct ThreadsSweep {
     seed: u64,
     /// Worker-thread counts swept, in order.
     threads: Vec<usize>,
-    /// Wall time per thread count, seconds (same order as `threads`).
+    /// Minimum wall time per thread count over the interleaved repeats,
+    /// seconds (same order as `threads`).
     wall_s: Vec<f64>,
-    /// The replay contract: every thread count produced bit-for-bit the
-    /// same design as the 1-thread reference.
+    /// The replay contract: every run at every thread count produced
+    /// bit-for-bit the same design as the first 1-thread run.
     identical: bool,
 }
 
@@ -241,8 +243,14 @@ fn run_pair(bench: &Benchmark, problem: Problem, case: usize, quick: bool, seed:
     result
 }
 
+/// Interleaved repeats of the thread-count sweep.
+const SWEEP_REPEATS: usize = 5;
+
 /// Runs the same job at 1/2/4 worker threads (reuse on, candidate count
-/// fixed by the schedule) and checks the results are bit-identical.
+/// fixed by the schedule), [`SWEEP_REPEATS`] times interleaved, and checks
+/// that every run is bit-identical to the first. Each count reports its
+/// minimum wall time: single runs at quick scale take 50–80 ms, inside
+/// the run-to-run noise of a shared host.
 fn run_sweep(
     bench: &Benchmark,
     problem: Problem,
@@ -251,21 +259,28 @@ fn run_sweep(
     seed: u64,
 ) -> ThreadsSweep {
     let counts = vec![1usize, 2, 4];
-    let mut wall_s = Vec::new();
-    let mut results = Vec::new();
-    for &threads in &counts {
-        let mut opts = schedule(quick, seed);
-        opts.reuse = ReuseOptions::with_worker_threads(threads);
-        let start = Instant::now();
-        results.push(TreeSearch::new(bench, opts).run(problem));
-        wall_s.push(start.elapsed().as_secs_f64());
+    let mut wall_s = vec![f64::INFINITY; counts.len()];
+    // The first run's design (`Some(None)` when it was infeasible).
+    let mut reference: Option<Option<DesignResult>> = None;
+    let mut all_identical = true;
+    for _ in 0..SWEEP_REPEATS {
+        for (&threads, wall) in counts.iter().zip(&mut wall_s) {
+            let mut opts = schedule(quick, seed);
+            opts.reuse = ReuseOptions::with_worker_threads(threads);
+            let start = Instant::now();
+            let result = TreeSearch::new(bench, opts).run(problem);
+            *wall = wall.min(start.elapsed().as_secs_f64());
+            let Some(reference) = &reference else {
+                reference = Some(result);
+                continue;
+            };
+            all_identical &= match (reference, &result) {
+                (Some(a), Some(b)) => identical(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+        }
     }
-    let all_identical = match &results[0] {
-        Some(reference) => results[1..]
-            .iter()
-            .all(|r| r.as_ref().is_some_and(|b| identical(reference, b))),
-        None => results[1..].iter().all(|r| r.is_none()),
-    };
     let sweep = ThreadsSweep {
         problem: match problem {
             Problem::PumpingPower => "problem1".to_owned(),
