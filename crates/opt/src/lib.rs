@@ -11,10 +11,10 @@
 //! * **Network evaluation** — [`netscore`] implements Algorithm 2
 //!   (pumping-power score `W'_pump`) and its Problem-2 counterpart
 //!   (minimum-`ΔT` score under a `W*_pump` budget);
-//! * **Outer level** — [`sa`] provides the parallel simulated-annealing
-//!   engine and [`treeopt`] the staged search over hierarchical tree-like
-//!   network parameters (§4.4, Table 1), including the Problem-2
-//!   adaptations of §5 (grouped iterations under a frozen pressure);
+//! * **Outer level** — [`treeopt`] runs the staged simulated annealing
+//!   over hierarchical tree-like network parameters (§4.4, Table 1),
+//!   including the Problem-2 adaptations of §5 (grouped iterations under
+//!   a frozen pressure), with the Metropolis rule in [`sa`];
 //! * **Baselines** — [`baseline`] evaluates the straight-channel networks
 //!   of Tables 3–4 and the manual gallery standing in for the contest's
 //!   first place;
@@ -27,7 +27,7 @@
 //!   behaviorally transparent: a fixed seed produces the same design with
 //!   it on or off;
 //! * **Parallel scoring** — [`pool::Pool`] is the one thread pool behind
-//!   every candidate batch: [`sa`] and [`treeopt`] build one per run and
+//!   every candidate batch: [`treeopt`] builds one per run and
 //!   `coolnet-serve` shares one across jobs. Batches come back in item
 //!   order, so results do not depend on the thread count.
 //!

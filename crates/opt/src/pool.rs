@@ -3,10 +3,10 @@
 //! workspace.
 //!
 //! Algorithm 1 scores a batch of SA neighbours per iteration (64 at a
-//! time on an 80-core server in the paper, §6). [`anneal`](crate::sa::anneal)
-//! and [`TreeSearch`](crate::treeopt::TreeSearch) each build one [`Pool`]
-//! per run; `coolnet-serve` builds one per process and shares it across
-//! concurrent jobs, so N jobs time-share one set of threads instead of
+//! time on an 80-core server in the paper, §6).
+//! [`TreeSearch`](crate::treeopt::TreeSearch) builds one [`Pool`] per run;
+//! `coolnet-serve` builds one per process and shares it across concurrent
+//! jobs, so N jobs time-share one set of threads instead of
 //! oversubscribing the machine N-fold.
 //!
 //! [`Pool::execute`] preserves item order, so results never depend on
@@ -125,9 +125,9 @@ impl Pool {
     /// Spawns the pool of one search run: `requested` workers clamped to
     /// the hardware, so a 1-core host never time-slices a 4-thread pool.
     /// Results do not depend on the worker count, so the clamp changes
-    /// wall time only. [`anneal`](crate::sa::anneal) and
-    /// [`TreeSearch`](crate::treeopt::TreeSearch) build their pools here;
-    /// a service's pool size is a deployment setting and uses [`Pool::new`].
+    /// wall time only. [`TreeSearch`](crate::treeopt::TreeSearch) builds
+    /// its pool here; a service's pool size is a deployment setting and
+    /// uses [`Pool::new`].
     pub fn for_run(requested: usize) -> Self {
         Self::new(effective_workers(requested))
     }
@@ -264,6 +264,15 @@ mod tests {
                 .collect();
             assert_eq!(again, expected);
         }
+    }
+
+    #[test]
+    fn run_pools_are_clamped_to_the_hardware() {
+        // On any host: a request above the hardware gets the hardware,
+        // and a small request is kept when the hardware allows it.
+        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(Pool::for_run(hw + 1).threads(), hw);
+        assert_eq!(Pool::for_run(4).threads(), 4.min(hw));
     }
 
     #[test]

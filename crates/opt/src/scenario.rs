@@ -46,7 +46,7 @@ use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::transient::Transient;
-use coolnet_thermal::{FourRm, PowerMap, ThermalConfig, ThermalError, TwoRm};
+use coolnet_thermal::{FourRm, LayerFlows, PowerMap, ThermalConfig, ThermalError, TwoRm};
 use coolnet_units::{Kelvin, Pascal, Watt};
 use serde::{Deserialize, Serialize};
 
@@ -597,6 +597,14 @@ impl Plant {
         })
     }
 
+    /// The hydraulic models of the plant's channel layers.
+    fn layer_flows(&self) -> &LayerFlows {
+        match self {
+            Plant::Two(s) => s.layer_flows(),
+            Plant::Four(s) => s.layer_flows(),
+        }
+    }
+
     /// Builds the run's transient integrator at pressure `p`, from a
     /// uniform `T_in` field.
     fn integrator(&self, p: Pascal, dt: f64) -> Result<Transient<'_>, ThermalError> {
@@ -686,10 +694,11 @@ pub fn run_scenario(
         Ok(p) => p,
         Err(e) => return Err(fail(ctx, e)),
     };
-    let flow_cfg = crate::evaluate::Evaluator::flow_config_for(bench);
-    let flow = match coolnet_flow::FlowModel::new(network, &flow_cfg) {
-        Ok(m) => m,
-        Err(e) => return Err(fail(ctx, e.into())),
+    // The plant already solved the network's hydraulics; the trace's
+    // `w_pump` reads the first channel layer's model.
+    let Some((_, flow)) = plant.layer_flows().iter().next() else {
+        let reason = "stack has no channel layer".to_owned();
+        return Err(fail(ctx, ThermalError::BadStack { reason }));
     };
 
     M_RUNS.inc();

@@ -367,11 +367,16 @@ pub trait EvalExec: Sync {
 
 /// Scores one batch through `exec`. A substrate that returns a short
 /// batch must not desynchronize the candidate/cost pairing, so missing
-/// responses are padded as failures.
+/// responses are padded as failures. A NaN cost is as infeasible as an
+/// infinite one: it becomes `+∞` here, before any selection or
+/// Metropolis test sees it.
 fn score_all(exec: &dyn EvalExec, reqs: Vec<EvalRequest>) -> Vec<EvalResponse> {
     let n = reqs.len();
     let mut out = exec.score_batch(reqs);
     out.resize(n, (f64::INFINITY, None));
+    for (cost, _) in out.iter_mut().filter(|(c, _)| c.is_nan()) {
+        *cost = f64::INFINITY;
+    }
     out
 }
 
@@ -462,12 +467,10 @@ impl RequestScorer {
         self
     }
 
-    /// Scores one request, through the cache when one is attached. NaN
-    /// costs are absorbed as `+∞` (matching the SA layer's contract), and
-    /// so are solver errors, which are also counted in
-    /// `eval.solver_errors`.
+    /// Scores one request, through the cache when one is attached. Solver
+    /// errors are absorbed as `+∞` and counted in `eval.solver_errors`.
     pub fn score(&self, req: &EvalRequest) -> EvalResponse {
-        let (value, p) = match &self.cache {
+        match &self.cache {
             Some(cache) => {
                 let key = match req.kind {
                     EvalKind::Full => ScoreKey::Full(self.problem),
@@ -487,11 +490,6 @@ impl RequestScorer {
                 Some(built) => self.compute(req.kind, &built.ev),
                 None => (f64::INFINITY, None),
             },
-        };
-        if value.is_nan() {
-            (f64::INFINITY, p)
-        } else {
-            (value, p)
         }
     }
 
@@ -1334,6 +1332,45 @@ mod tests {
         let objectives = log.iter().filter(|&&t| t == 'O').count();
         assert_eq!(fulls, 5, "{log:?}");
         assert_eq!(objectives, 6, "{log:?}");
+    }
+
+    #[test]
+    fn nan_initial_score_does_not_freeze_the_round() {
+        // A NaN initial cost is infeasible, so the first finite candidate
+        // must displace it. Compared as a cost, NaN makes `c <= NaN` and
+        // the Metropolis draw both false: every candidate is rejected and
+        // the round returns its NaN incumbent.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let bench = Benchmark::iccad_scaled(1, GridDims::new(21, 21));
+        let mut opts = TreeSearchOptions::quick(1);
+        opts.parallelism = 2;
+        let search = TreeSearch::new(&bench, opts);
+        let init = search
+            .initial_config(GlobalFlow::WestToEast)
+            .expect("initial config");
+        // Scripted scores: NaN for the round's initial cost, then finite
+        // and strictly improving for every candidate.
+        let calls = AtomicUsize::new(0);
+        let exec = SerialExec(|_: &EvalRequest| -> EvalResponse {
+            match calls.fetch_add(1, Ordering::Relaxed) {
+                0 => (f64::NAN, None),
+                n => (100.0 - n as f64, None),
+            }
+        });
+        let stage = Stage {
+            iterations: 3,
+            rounds: 1,
+            step: 2,
+            model: ModelChoice::fast(),
+            metric: StageMetric::Full,
+            group: 1,
+        };
+        let ((_, cost), cut) =
+            search.run_stage_round(&stage, &init, 42, &SearchControl::unlimited(), &exec);
+        assert!(cut.is_none());
+        // Three iterations of two candidates: the last scores 100 - 6.
+        assert_eq!(cost, 94.0, "the round kept its NaN incumbent");
     }
 
     #[test]
