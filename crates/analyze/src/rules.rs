@@ -110,7 +110,7 @@ NaNs entering a solver propagate silently and corrupt entire runs. Every
 `pub fn solve*` / `pub fn assemble*` must validate its numeric input,
 directly (`is_finite`) or via a named validator (`check_*`, `ensure_*`,
 `valid*`).
-Fix: add a finiteness guard at entry, or route through the solve ladder
+Fix: add a finiteness guard at entry, or route through `resilience::solve`,
 which guards inline."
         }
         DOC_COVERAGE => {

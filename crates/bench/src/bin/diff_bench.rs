@@ -33,37 +33,11 @@
 
 use coolnet::cases::gen::{corpus, CaseSpec};
 use coolnet::opt::differential::{fingerprint, run_case, CaseReport, DiffConfig};
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{write_json, HarnessOpts, LadderSummary};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
-
-/// Solve-ladder escalation accounting over the base sweep.
-#[derive(Debug, Serialize)]
-struct LadderSummary {
-    /// Ladder solves in the window.
-    solves: u64,
-    /// Solver attempts actually run.
-    attempts: u64,
-    /// Solves needing more than one attempt.
-    escalations: u64,
-    /// Attempts beyond one per solve (`attempts - solves`).
-    wasted_attempts: u64,
-}
-
-impl LadderSummary {
-    fn delta(after: &MetricsSnapshot, before: &MetricsSnapshot) -> Self {
-        let solves = after.counter_delta(before, "ladder.solves");
-        let attempts = after.counter_delta(before, "ladder.attempts");
-        Self {
-            solves,
-            attempts,
-            escalations: after.counter_delta(before, "ladder.escalations"),
-            wasted_attempts: attempts.saturating_sub(solves),
-        }
-    }
-}
 
 /// Evaluation-cache deltas over the base sweep. The differential checks
 /// drive the models directly (no [`coolnet::opt::evalcache`]), so these

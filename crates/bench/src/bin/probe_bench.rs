@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use coolnet::prelude::*;
-use coolnet_bench::{write_json, HarnessOpts};
+use coolnet_bench::{write_json, HarnessOpts, LadderSummary};
 use coolnet_obs::MetricsSnapshot;
 use serde::Serialize;
 use std::time::Instant;
@@ -42,18 +42,14 @@ struct ConfigResult {
     /// Mean BiCGSTAB iterations per probe (delta of the
     /// `ladder.iterations` histogram sum; 0 under `--no-metrics`).
     mean_iterations: f64,
-    /// Solves that fell through to the direct step (delta of
-    /// `ladder.escalations`; 0 under `--no-metrics`). Nonzero values flag
-    /// a matrix regime the primary solver no longer handles.
-    escalations: u64,
     /// Mean solve attempts per probe (1.0 = the Krylov step always
     /// converged; 0 under `--no-metrics`).
     mean_attempts: f64,
-    /// Attempts beyond the first per solve (`attempts - solves` delta):
-    /// the escalation tax paid in this configuration's window.
-    wasted_attempts: u64,
-    /// Escalations per solve in the window (0 under `--no-metrics`).
-    escalation_rate: f64,
+    /// Escalation accounting over this configuration's window. Nonzero
+    /// `escalations` flag a matrix regime the Krylov step no longer
+    /// handles.
+    #[serde(flatten)]
+    ladder: LadderSummary,
 }
 
 /// The artifact: enough context to compare runs across commits.
@@ -129,23 +125,15 @@ fn measure(
 
     let probes = reps * pressures_kpa.len();
     let iterations = after.histogram_sum_delta(&before, "ladder.iterations");
-    let attempts = after.counter_delta(&before, "ladder.attempts");
-    let escalations = after.counter_delta(&before, "ladder.escalations");
-    let solves = after.counter_delta(&before, "ladder.solves");
+    let ladder = LadderSummary::delta(&after, &before);
     let result = ConfigResult {
         name: if cold { "cold" } else { "cached" }.to_owned(),
         probes,
         elapsed_s,
         probes_per_sec: probes as f64 / elapsed_s,
         mean_iterations: per_probe(iterations, probes),
-        escalations,
-        mean_attempts: per_probe(attempts, probes),
-        wasted_attempts: attempts.saturating_sub(solves),
-        escalation_rate: if solves == 0 {
-            0.0
-        } else {
-            escalations as f64 / solves as f64
-        },
+        mean_attempts: per_probe(ladder.attempts, probes),
+        ladder,
     };
     println!(
         "  {:12} {:7.2} probes/s   {:5.1} iters/probe   {} escalations   {} wasted   \
@@ -153,8 +141,8 @@ fn measure(
         result.name,
         result.probes_per_sec,
         result.mean_iterations,
-        escalations,
-        result.wasted_attempts,
+        result.ladder.escalations,
+        result.ladder.wasted_attempts,
         probes,
         elapsed_s
     );

@@ -138,6 +138,46 @@ impl HarnessOpts {
     }
 }
 
+/// Escalation accounting of the two-step solve over a snapshot window:
+/// how many solve attempts were spent beyond the first attempt of each
+/// solve. Every field reads 0 when the metrics layer is disabled.
+#[derive(Debug, serde::Serialize)]
+pub struct LadderSummary {
+    /// Solves that returned a solution (`ladder.solves`).
+    pub solves: u64,
+    /// Solver attempts actually run (`ladder.attempts`).
+    pub attempts: u64,
+    /// Solves the direct step finished (`ladder.escalations`).
+    pub escalations: u64,
+    /// Attempts beyond one per solve (`attempts - solves`).
+    pub wasted_attempts: u64,
+    /// `escalations / solves` (0 when no solves ran).
+    pub escalation_rate: f64,
+}
+
+impl LadderSummary {
+    /// The `ladder.*` counter deltas from `before` to `after`.
+    pub fn delta(
+        after: &coolnet_obs::MetricsSnapshot,
+        before: &coolnet_obs::MetricsSnapshot,
+    ) -> Self {
+        let solves = after.counter_delta(before, "ladder.solves");
+        let attempts = after.counter_delta(before, "ladder.attempts");
+        let escalations = after.counter_delta(before, "ladder.escalations");
+        Self {
+            solves,
+            attempts,
+            escalations,
+            wasted_attempts: attempts.saturating_sub(solves),
+            escalation_rate: if solves == 0 {
+                0.0
+            } else {
+                escalations as f64 / solves as f64
+            },
+        }
+    }
+}
+
 /// Writes a serializable artifact as pretty JSON.
 ///
 /// # Panics
@@ -353,6 +393,37 @@ mod tests {
         let b = opts.benchmark(1);
         assert_eq!(b.dims, GridDims::new(21, 21));
         assert_eq!(opts.benchmarks().len(), 5);
+    }
+
+    /// `probe_bench` flattens the summary into each configuration row, so
+    /// CI's `jq` gates read `.escalations`, `.wasted_attempts` and
+    /// `.escalation_rate` at the row's top level.
+    #[test]
+    fn flattened_ladder_summary_serializes_flat() {
+        #[derive(serde::Serialize)]
+        struct Row {
+            name: String,
+            #[serde(flatten)]
+            ladder: LadderSummary,
+        }
+        let before = coolnet_obs::MetricsSnapshot::default();
+        let mut after = before.clone();
+        for (name, value) in [
+            ("ladder.solves", 4),
+            ("ladder.attempts", 5),
+            ("ladder.escalations", 1),
+        ] {
+            after.counters.insert(name.to_owned(), value);
+        }
+        let row = Row {
+            name: "cached".to_owned(),
+            ladder: LadderSummary::delta(&after, &before),
+        };
+        let json = serde_json::to_string(&row).unwrap();
+        assert_eq!(
+            json,
+            r#"{"name":"cached","solves":4,"attempts":5,"escalations":1,"wasted_attempts":1,"escalation_rate":0.25}"#
+        );
     }
 
     #[test]

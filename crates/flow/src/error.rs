@@ -40,13 +40,6 @@ impl From<SolveError> for FlowError {
     }
 }
 
-impl From<coolnet_sparse::LadderError> for FlowError {
-    /// Collapses an exhausted solve to its last recorded error.
-    fn from(e: coolnet_sparse::LadderError) -> Self {
-        FlowError::Solver(e.into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

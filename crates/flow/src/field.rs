@@ -35,15 +35,6 @@ impl<'a> FlowField<'a> {
             .map(|i| Pascal::new(self.model.unit_pressures()[i] * self.p_sys))
     }
 
-    /// Pressure by unknown index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn pressure_at(&self, idx: usize) -> f64 {
-        self.model.unit_pressures()[idx] * self.p_sys
-    }
-
     /// Signed flow rate from liquid cell `from` to neighboring liquid cell
     /// `to` (positive when coolant moves `from → to`), Eq. (1).
     ///

@@ -9,7 +9,7 @@ use coolnet_network::{CoolingNetwork, PortKind};
 use coolnet_obs::LazyCounter;
 use coolnet_sparse::precond::Jacobi;
 use coolnet_sparse::resilience::{self, Krylov};
-use coolnet_sparse::{SolveReport, SolveStats, SolverOptions, TripletBuilder};
+use coolnet_sparse::{SolveStats, SolverOptions, TripletBuilder};
 use coolnet_units::{Pascal, Watt};
 
 /// Hydraulic assemblies: one unit-pressure system built and solved per
@@ -44,8 +44,6 @@ pub struct FlowModel {
     unit_flow: f64,
     /// Statistics of the unit pressure solve (diagnostics).
     stats: SolveStats,
-    /// Attempt-by-attempt record of the unit pressure solve.
-    report: SolveReport,
 }
 
 impl FlowModel {
@@ -181,7 +179,6 @@ impl FlowModel {
             width_of_cell,
             unit_flow,
             stats: solution.stats,
-            report: solution.report,
         })
     }
 
@@ -285,27 +282,12 @@ impl FlowModel {
         FlowField::from_unit(self, p_sys)
     }
 
-    /// Iterations the unit pressure solve took (diagnostics).
-    // Not a solver entry point, just a counter getter sharing the prefix.
-    // analyze:allow(finite-guard)
-    pub fn solve_iterations(&self) -> usize {
-        self.stats.iterations
-    }
-
     /// Statistics of the unit pressure solve, including which step
-    /// produced it and how many attempts were made.
+    /// produced it.
     // Not a solver entry point, just a stats getter sharing the prefix.
     // analyze:allow(finite-guard)
     pub fn solve_stats(&self) -> SolveStats {
         self.stats
-    }
-
-    /// The attempt-by-attempt [`SolveReport`] of the unit pressure solve —
-    /// records direct-step rescues and injected faults for observability.
-    // Not a solver entry point, just a report getter sharing the prefix.
-    // analyze:allow(finite-guard)
-    pub fn solve_report(&self) -> &SolveReport {
-        &self.report
     }
 }
 

@@ -251,11 +251,6 @@ impl NetworkBuilder {
         &self.tsv
     }
 
-    /// Current liquid mask (for generators that post-process their drawing).
-    pub fn liquid_mask(&self) -> &CellMask {
-        &self.liquid
-    }
-
     /// Validates and freezes the network.
     ///
     /// # Errors

@@ -10,12 +10,12 @@
 //! monotonic counters whose invariants a mid-update panic cannot break
 //! (the canonical audit is the analyzer's shared-state inventory).
 //!
-//! These helpers make that recovery decision once, in one place, instead
+//! This helper makes that recovery decision once, in one place, instead
 //! of scattering `unwrap_or_else(|p| p.into_inner())` matches across
 //! crates: one panicked tenant must not wedge the shared cache, pool or
 //! metrics registry for everyone else.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
@@ -29,27 +29,11 @@ pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Read-locks `l`, recovering the guard if a writer panicked.
-pub fn read_recover<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    match l.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Write-locks `l`, recovering the guard if a previous holder panicked.
-pub fn write_recover<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    match l.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Mutex, RwLock};
+    use std::sync::Mutex;
 
     #[test]
     fn lock_recover_survives_a_poisoning_panic() {
@@ -65,17 +49,5 @@ mod tests {
         *g += 1;
         drop(g);
         assert_eq!(*lock_recover(&m), 8);
-    }
-
-    #[test]
-    fn rwlock_recover_survives_a_poisoning_panic() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        let poison = catch_unwind(AssertUnwindSafe(|| {
-            let _g = l.write().expect("first write lock");
-            panic!("poison the rwlock");
-        }));
-        assert!(poison.is_err());
-        write_recover(&l).push(4);
-        assert_eq!(read_recover(&l).len(), 4);
     }
 }

@@ -142,8 +142,8 @@ pub struct ScenarioEvent {
 /// horizon, under closed-loop flow control.
 ///
 /// The spec deliberately excludes the numerical substrate
-/// ([`ThermalConfig`]: solver ladder, tolerance, baseline inlet
-/// temperature) — that is [`run_scenario`]'s parameter, so the *same*
+/// ([`ThermalConfig`]: advection scheme, solver tolerance, baseline
+/// inlet temperature) — that is [`run_scenario`]'s parameter, so the *same*
 /// serialized scenario can be replayed under different solver settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -641,8 +641,8 @@ fn control_steps(duration: f64, dt: f64, control_interval: usize) -> usize {
 }
 
 /// Executes `spec` against one cooling system under the numerical
-/// substrate `thermal` (solver ladder, tolerance and the baseline inlet
-/// temperature events move away from).
+/// substrate `thermal` (advection scheme, solver tolerance and the
+/// baseline inlet temperature events move away from).
 ///
 /// Deterministic by construction: the trace depends only on
 /// `(bench, network, spec, thermal)` — never on the host, wall clock or

@@ -18,7 +18,7 @@ use crate::result::DesignResult;
 use crate::sa::Acceptor;
 use crate::Problem;
 use coolnet_cases::Benchmark;
-use coolnet_network::builders::tree::{self, BranchStyle, TreeConfig, TreeParams};
+use coolnet_network::builders::tree::{self, BranchStyle, TreeConfig};
 use coolnet_network::builders::GlobalFlow;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
@@ -1108,9 +1108,6 @@ fn clamp_even(v: i32, lo: i32, hi: i32) -> i32 {
         v - 1
     }
 }
-
-/// Re-exported tree parameter type for harness configuration.
-pub type TreeParameters = TreeParams;
 
 #[cfg(test)]
 mod tests {

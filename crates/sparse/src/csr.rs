@@ -323,20 +323,6 @@ impl CsrMatrix {
         }
         d
     }
-
-    /// Estimated infinity-norm condition diagnostics: returns the min and max
-    /// absolute diagonal entry. Useful for spotting near-singular assemblies
-    /// before handing the system to a Krylov solver.
-    pub fn diagonal_range(&self) -> (f64, f64) {
-        let diag = self.diagonal();
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for d in diag {
-            lo = lo.min(d.abs());
-            hi = hi.max(d.abs());
-        }
-        (lo, hi)
-    }
 }
 
 /// One row of `A·x`: `0.0 + v₀·x[c₀] + v₁·x[c₁] + …`, left to right.
@@ -456,7 +442,6 @@ mod tests {
     fn diagonal_and_range() {
         let m = sample();
         assert_eq!(m.diagonal(), vec![2.0, 3.0, 5.0]);
-        assert_eq!(m.diagonal_range(), (2.0, 5.0));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The Krylov solvers in [`crate::solve`] handle the production-size systems.
 //! [`DenseMatrix::solve`] is the *reference* partially pivoted LU that unit
-//! and property tests compare against. The ladder's terminal dense rung does
-//! not expand its system to `n × n`: it runs `band_solve`, the same LU
-//! restricted to the matrix's bandwidth, which returns the reference's
-//! result bits at `O(n·kl·(kl+ku))` cost instead of `O(n³)`.
+//! and property tests compare against. The direct step of
+//! [`crate::resilience::solve`] does not expand its system to `n × n`: it
+//! runs `band_solve`, the same LU restricted to the matrix's bandwidth,
+//! which returns the reference's result bits at `O(n·kl·(kl+ku))` cost
+//! instead of `O(n³)`.
 
 use crate::csr::CsrMatrix;
 use crate::solve::SolveError;
@@ -433,7 +434,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn band_solve_reports_the_reference_errors() {
+    fn band_solve_returns_the_reference_errors() {
         // [1 2; 2 4]: the second pivot cancels to exactly zero.
         let a =
             CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)]);

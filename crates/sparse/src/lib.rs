@@ -20,9 +20,10 @@
 //!   [`precond::Ilu0`];
 //! * [`resilience::solve`] — the fixed two-step solve the physical models
 //!   call: their [`Krylov`] solver first, then a banded direct LU for
-//!   systems of at most [`resilience::DENSE_FALLBACK_CAP`] unknowns, with
-//!   a [`SolveReport`] of every attempt, plus a deterministic
-//!   fault-injection harness (`resilience::fault`, test/feature gated).
+//!   systems of at most [`resilience::DENSE_FALLBACK_CAP`] unknowns,
+//!   returning a [`Solution`] or the last step's [`SolveError`], plus a
+//!   deterministic fault-injection harness (`resilience::fault`,
+//!   test/feature gated).
 //!
 //! # Examples
 //!
@@ -65,5 +66,5 @@ pub mod solve;
 pub use coo::TripletBuilder;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use resilience::{Krylov, LadderError, LadderSolution, SolveReport};
+pub use resilience::Krylov;
 pub use solve::{Solution, SolveError, SolveStats, SolverOptions};

@@ -21,10 +21,12 @@
 //!    unknowns: for lower/upper bandwidths `kl`/`ku` it costs
 //!    `O(n·kl·(kl+ku))` time and `n·(2·kl+ku+1)` storage, and returns the
 //!    result bits of the `n × n` reference [`crate::DenseMatrix::solve`].
-//!    Larger systems record the step as skipped.
+//!    Larger systems skip the step.
 //!
 //! Every candidate solution is checked for finite entries before it is
-//! accepted, and the result carries a [`SolveReport`] of every attempt.
+//! accepted. The result is a [`Solution`] whose [`SolveStats::rung`] names
+//! the step that produced it, or the [`SolveError`] of the last step that
+//! failed.
 //!
 //! The companion `fault` module (compiled under `cfg(test)` or the
 //! `fault-inject` feature) injects deterministic failures at chosen
@@ -37,8 +39,6 @@ use crate::ops;
 use crate::precond::Preconditioner;
 use crate::solve::{self, Solution, SolveError, SolveStats, SolverOptions};
 use coolnet_obs::{LazyCounter, LazyHistogram};
-use std::error::Error;
-use std::fmt;
 
 /// Solves that returned a solution.
 static M_SOLVES: LazyCounter = LazyCounter::new("ladder.solves");
@@ -93,166 +93,6 @@ pub enum Krylov {
     Bicgstab,
 }
 
-/// The solver an [`Attempt`] ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Step 0 with [`Krylov::Cg`].
-    Cg,
-    /// Step 0 with [`Krylov::Bicgstab`].
-    Bicgstab,
-    /// Step 1: the banded LU with the result bits of a dense LU.
-    DenseLu,
-}
-
-impl From<Krylov> for SolverKind {
-    fn from(k: Krylov) -> Self {
-        match k {
-            Krylov::Cg => SolverKind::Cg,
-            Krylov::Bicgstab => SolverKind::Bicgstab,
-        }
-    }
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SolverKind::Cg => "cg",
-            SolverKind::Bicgstab => "bicgstab",
-            SolverKind::DenseLu => "dense-lu",
-        })
-    }
-}
-
-/// Outcome of one attempt, recorded in a [`SolveReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttemptOutcome {
-    /// The solver converged.
-    Converged {
-        /// Iterations the solver performed.
-        iterations: usize,
-        /// Final relative residual.
-        residual: f64,
-    },
-    /// The solver failed with the given error.
-    Failed(SolveError),
-    /// The step was not applicable and no solver ran.
-    Skipped {
-        /// Why the step was skipped (over the dense size cap).
-        reason: String,
-    },
-}
-
-/// One attempted (or skipped) step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Attempt {
-    /// Step index: `0` for the Krylov step, `1` for the direct step.
-    pub rung: usize,
-    /// Solver the step ran.
-    pub solver: SolverKind,
-    /// Whether the fault-injection harness forced this attempt's outcome.
-    pub injected: bool,
-    /// What happened.
-    pub outcome: AttemptOutcome,
-}
-
-/// The attempt-by-attempt record of one [`solve()`] call.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SolveReport {
-    /// Every attempt in execution order, skips included.
-    pub attempts: Vec<Attempt>,
-}
-
-impl SolveReport {
-    /// Number of attempts that actually ran a solver (skips excluded).
-    pub fn tried(&self) -> usize {
-        self.attempts
-            .iter()
-            .filter(|a| !matches!(a.outcome, AttemptOutcome::Skipped { .. }))
-            .count()
-    }
-
-    /// The step index that converged, if any.
-    pub fn succeeded_rung(&self) -> Option<usize> {
-        self.attempts
-            .iter()
-            .find(|a| matches!(a.outcome, AttemptOutcome::Converged { .. }))
-            .map(|a| a.rung)
-    }
-
-    /// Whether the solve needed more than its first attempt.
-    pub fn escalated(&self) -> bool {
-        self.tried() > 1
-    }
-
-    /// The last solver error recorded, if any attempt failed.
-    pub fn last_error(&self) -> Option<&SolveError> {
-        self.attempts.iter().rev().find_map(|a| match &a.outcome {
-            AttemptOutcome::Failed(e) => Some(e),
-            _ => None,
-        })
-    }
-
-    /// Number of attempts whose outcome was forced by fault injection.
-    pub fn injected_faults(&self) -> usize {
-        self.attempts.iter().filter(|a| a.injected).count()
-    }
-}
-
-/// A solution produced by [`solve()`]: the vector, its [`SolveStats`]
-/// (with `rung`/`attempts` filled in), and the full [`SolveReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LadderSolution {
-    /// The solution vector.
-    pub solution: Vec<f64>,
-    /// Convergence statistics of the successful attempt.
-    pub stats: SolveStats,
-    /// Every attempt made on the way there.
-    pub report: SolveReport,
-}
-
-/// Both steps failed (or were inapplicable); carries the full record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LadderError {
-    /// The attempt-by-attempt record of the exhausted solve.
-    pub report: SolveReport,
-}
-
-impl fmt::Display for LadderError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.report.last_error() {
-            Some(e) => write!(
-                f,
-                "solve exhausted after {} attempts over {} steps; last error: {e}",
-                self.report.tried(),
-                self.report.attempts.len(),
-            ),
-            None => f.write_str("solve has no applicable steps"),
-        }
-    }
-}
-
-impl Error for LadderError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        self.report
-            .last_error()
-            .map(|e| e as &(dyn Error + 'static))
-    }
-}
-
-impl From<LadderError> for SolveError {
-    /// Collapses the report to its last recorded solver error, for callers
-    /// whose error types wrap [`SolveError`].
-    fn from(e: LadderError) -> Self {
-        e.report
-            .last_error()
-            .cloned()
-            .unwrap_or(SolveError::NotConverged {
-                iterations: 0,
-                residual: f64::INFINITY,
-            })
-    }
-}
-
 /// Solves `A·x = b`: the `krylov` solver with the `caller` preconditioner
 /// and `options` first, then, if that fails and `n ≤`
 /// [`DENSE_FALLBACK_CAP`], the direct step.
@@ -260,51 +100,48 @@ impl From<LadderError> for SolveError {
 /// Every candidate solution is checked for finite entries before it is
 /// accepted, so NaN-poisoned arithmetic falls through to the direct step
 /// instead of propagating. The solve is a pure function of its arguments.
+/// The returned [`SolveStats::rung`] names the step that produced the
+/// solution.
 ///
 /// # Errors
 ///
-/// Returns [`LadderError`] with the full [`SolveReport`] when both steps
-/// fail or the direct step does not apply.
+/// When no step succeeds, the last failed step's error: the direct step's,
+/// or the Krylov step's when `n > DENSE_FALLBACK_CAP`.
 pub fn solve(
     krylov: Krylov,
     a: &CsrMatrix,
     b: &[f64],
     caller: &dyn Preconditioner,
     options: &SolverOptions,
-) -> Result<LadderSolution, LadderError> {
+) -> Result<Solution, SolveError> {
     // Output finiteness is guarded per attempt; here only the system
     // shape is validated.
     assert_eq!(a.rows(), b.len(), "rhs length must match the system");
     register_metrics();
     let plan = PlanState::current();
-    let mut report = SolveReport::default();
+    let mut injected = 0;
 
-    let solved = attempt(0, krylov.into(), &plan, &mut report, || match krylov {
+    let krylov_step = attempt(&plan, &mut injected, || match krylov {
         Krylov::Cg => solve::cg(a, b, caller, options),
         Krylov::Bicgstab => solve::bicgstab(a, b, caller, options),
     });
-    if let Some(sol) = solved {
-        return Ok(finish(sol, 0, report));
-    }
-    let n = a.rows();
-    if n <= DENSE_FALLBACK_CAP {
-        if let Some(sol) = attempt(1, SolverKind::DenseLu, &plan, &mut report, || direct(a, b)) {
-            return Ok(finish(sol, 1, report));
-        }
-    } else {
-        report.attempts.push(Attempt {
-            rung: 1,
-            solver: SolverKind::DenseLu,
-            injected: false,
-            outcome: AttemptOutcome::Skipped {
-                reason: format!("{n} unknowns exceed the {DENSE_FALLBACK_CAP}-unknown dense cap"),
-            },
-        });
-    }
-    M_EXHAUSTED.inc();
-    M_ATTEMPTS.add(report.tried() as u64);
-    M_INJECTED.add(report.injected_faults() as u64);
-    Err(LadderError { report })
+    let (result, tried) = match krylov_step {
+        Ok(sol) => (Ok((sol, 0)), 1),
+        Err(e) if a.rows() > DENSE_FALLBACK_CAP => (Err(e), 1),
+        Err(_) => (
+            attempt(&plan, &mut injected, || direct(a, b)).map(|sol| (sol, 1)),
+            2,
+        ),
+    };
+    M_ATTEMPTS.add(tried);
+    M_INJECTED.add(injected);
+    let (mut sol, rung) = result.inspect_err(|_| M_EXHAUSTED.inc())?;
+    sol.stats.rung = rung;
+    M_SOLVES.inc();
+    M_ESCALATIONS.add(u64::from(rung > 0));
+    M_ITERATIONS.record(sol.stats.iterations as u64);
+    M_RUNG_CONVERGED[rung].inc();
+    Ok(sol)
 }
 
 /// The direct step on its own: `A·x = b` by the banded LU, with the
@@ -333,18 +170,16 @@ pub fn direct(a: &CsrMatrix, b: &[f64]) -> Result<Solution, SolveError> {
     })
 }
 
-/// Runs step `rung` under the fault plan and the finiteness guard,
-/// recording the attempt in `report`; returns the solution if it converged.
+/// Runs one step under the fault plan and the finiteness guard, counting
+/// a forced outcome in `injected`.
 fn attempt(
-    rung: usize,
-    solver: SolverKind,
     plan: &PlanState,
-    report: &mut SolveReport,
+    injected: &mut u64,
     run: impl FnOnce() -> Result<Solution, SolveError>,
-) -> Option<Solution> {
+) -> Result<Solution, SolveError> {
     let inject = plan.next();
-    let injected = inject.is_some();
-    let result = match inject {
+    *injected += u64::from(inject.is_some());
+    match inject {
         Some(Inject::Fail(e)) => Err(e),
         other => run().and_then(|mut sol| {
             if matches!(other, Some(Inject::Poison)) {
@@ -358,43 +193,6 @@ fn attempt(
                 Err(SolveError::NonFinite)
             }
         }),
-    };
-    let (outcome, solution) = match result {
-        Ok(sol) => (
-            AttemptOutcome::Converged {
-                iterations: sol.stats.iterations,
-                residual: sol.stats.residual,
-            },
-            Some(sol),
-        ),
-        Err(e) => (AttemptOutcome::Failed(e), None),
-    };
-    report.attempts.push(Attempt {
-        rung,
-        solver,
-        injected,
-        outcome,
-    });
-    solution
-}
-
-/// Stamps stats, records the success metrics and packages the result.
-fn finish(sol: Solution, rung: usize, report: SolveReport) -> LadderSolution {
-    let stats = SolveStats {
-        rung,
-        attempts: report.tried(),
-        ..sol.stats
-    };
-    M_SOLVES.inc();
-    M_ATTEMPTS.add(stats.attempts as u64);
-    M_ESCALATIONS.add(u64::from(report.escalated()));
-    M_INJECTED.add(report.injected_faults() as u64);
-    M_ITERATIONS.record(stats.iterations as u64);
-    M_RUNG_CONVERGED[rung].inc();
-    LadderSolution {
-        solution: sol.solution,
-        stats,
-        report,
     }
 }
 
@@ -625,10 +423,8 @@ mod tests {
         let opts = SolverOptions::default();
         let sol = solve(Krylov::Bicgstab, &a, &b, &Ilu0::new(&a), &opts).unwrap();
         assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.stats.attempts, 1);
-        assert_eq!(sol.report.succeeded_rung(), Some(0));
-        assert!(!sol.report.escalated());
-        assert_eq!(sol.report.injected_faults(), 0);
+        assert_eq!(plan.consulted(), 1);
+        assert_eq!(plan.fired(), 0);
         check_close(&a, &sol.solution, &b);
         // The first step is the plain solver call, bit for bit.
         let plain = solve::bicgstab(&a, &b, &Ilu0::new(&a), &opts).unwrap();
@@ -650,8 +446,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sol.stats.rung, 0);
-        assert_eq!(sol.report.attempts[0].solver, SolverKind::Cg);
         check_close(&a, &sol.solution, &b);
+        // Step 0 is the plain CG call, bit for bit.
+        let plain = solve::cg(&a, &b, &Jacobi::new(&a), &SolverOptions::default()).unwrap();
+        assert_eq!(sol.solution, plain.solution);
     }
 
     #[test]
@@ -669,10 +467,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sol.stats.rung, 1);
-        assert_eq!(sol.stats.attempts, 2);
-        assert_eq!(sol.report.succeeded_rung(), Some(1));
-        assert!(sol.report.escalated());
-        assert_eq!(sol.report.injected_faults(), 1);
+        assert_eq!(plan.consulted(), 2);
         assert_eq!(plan.fired(), 1);
         check_close(&a, &sol.solution, &b);
     }
@@ -692,7 +487,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sol.stats.rung, 1);
-        assert_eq!(sol.report.attempts[1].solver, SolverKind::DenseLu);
+        assert_eq!(sol.stats.iterations, 0);
         // The direct step returns the reference LU's bits.
         assert_eq!(bits(&sol.solution), bits(&a.to_dense().solve(&b).unwrap()));
         assert_eq!(sol.solution, direct(&a, &b).unwrap().solution);
@@ -715,11 +510,7 @@ mod tests {
         drop(scope);
         assert_eq!(sol.stats.rung, 1);
         assert!(sol.solution.iter().all(|v| v.is_finite()));
-        assert_eq!(
-            sol.report.attempts[0].outcome,
-            AttemptOutcome::Failed(SolveError::NonFinite)
-        );
-        assert!(sol.report.attempts[0].injected);
+        assert_eq!(plan.fired(), 1);
 
         // The guard covers the direct step too.
         let plan = FaultPlan::at([(0, FaultKind::NotConverged), (1, FaultKind::PoisonNan)]);
@@ -732,7 +523,7 @@ mod tests {
             &SolverOptions::default(),
         )
         .unwrap_err();
-        assert_eq!(err.report.last_error(), Some(&SolveError::NonFinite));
+        assert_eq!(err, SolveError::NonFinite);
     }
 
     #[test]
@@ -749,16 +540,9 @@ mod tests {
             &SolverOptions::default(),
         )
         .unwrap_err();
-        assert_eq!(err.report.attempts.len(), 2);
-        assert_eq!(err.report.tried(), 2);
-        assert_eq!(err.report.succeeded_rung(), None);
-        assert!(matches!(
-            err.report.last_error(),
-            Some(SolveError::Breakdown { .. })
-        ));
-        assert!(err.to_string().contains("exhausted"));
-        let solve_err: SolveError = err.into();
-        assert!(matches!(solve_err, SolveError::Breakdown { .. }));
+        assert_eq!(plan.consulted(), 2);
+        assert_eq!(plan.fired(), 2);
+        assert!(matches!(err, SolveError::Breakdown { .. }));
     }
 
     #[test]
@@ -776,21 +560,10 @@ mod tests {
             &SolverOptions::default(),
         )
         .unwrap_err();
-        // One injected failure plus the skipped direct step.
-        assert_eq!(err.report.attempts.len(), 2);
-        assert_eq!(err.report.tried(), 1);
-        assert!(matches!(
-            err.report.attempts[1].outcome,
-            AttemptOutcome::Skipped { .. }
-        ));
+        // The Krylov step's injected failure is the error; the skipped
+        // direct step consumes no fault.
+        assert!(matches!(err, SolveError::Breakdown { iterations: 0 }));
         assert_eq!(plan.consulted(), 1, "a skipped step consumes no fault");
-    }
-
-    #[test]
-    fn report_display_names_solvers() {
-        assert_eq!(SolverKind::DenseLu.to_string(), "dense-lu");
-        assert_eq!(SolverKind::from(Krylov::Cg).to_string(), "cg");
-        assert_eq!(SolverKind::from(Krylov::Bicgstab).to_string(), "bicgstab");
     }
 
     /// A near-singular system starts at the Krylov step like any other.
@@ -812,8 +585,8 @@ mod tests {
             &SolverOptions::default(),
         )
         .unwrap();
-        assert_eq!(sol.report.attempts[0].rung, 0);
         assert_eq!(sol.stats.rung, 0);
+        assert_eq!(plan.consulted(), 1);
     }
 
     #[test]
@@ -830,13 +603,13 @@ mod tests {
         let scope = fault::inject(&plan);
         let sol = solve(Krylov::Bicgstab, &a, &b, &Identity::new(40), &opts).unwrap();
         assert_eq!(sol.stats.rung, 1, "expected a natural escalation");
-        assert_eq!(sol.report.injected_faults(), 0);
+        assert_eq!(plan.consulted(), 2);
+        assert_eq!(plan.fired(), 0);
         // The solve keeps no memory: the same solve starts at step 0 again
         // and ends on the same step with the same bits.
         let again = solve(Krylov::Bicgstab, &a, &b, &Identity::new(40), &opts).unwrap();
-        assert_eq!(again.report.attempts[0].rung, 0);
-        assert_eq!(again.report, sol.report);
-        assert_eq!(again.solution, sol.solution);
+        assert_eq!(plan.consulted(), 4);
+        assert_eq!(again, sol);
         drop(scope);
 
         // An injected fault lands a healthy solve on the same direct step.
@@ -851,7 +624,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(forced.stats.rung, 1);
-        assert_eq!(forced.report.injected_faults(), 1);
+        assert_eq!(plan.fired(), 1);
         assert_eq!(bits(&forced.solution), bits(&sol.solution));
     }
 }

@@ -134,9 +134,6 @@ pub struct SolveStats {
     /// produced the solution: `0` for the Krylov step (and for plain solver
     /// calls), `1` for the direct step.
     pub rung: usize,
-    /// Total solver attempts `resilience::solve` made (including failed
-    /// ones) before this solution; `0` for plain solver calls.
-    pub attempts: usize,
 }
 
 /// A converged solution plus its [`SolveStats`].

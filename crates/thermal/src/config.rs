@@ -1,6 +1,5 @@
 //! Thermal simulation configuration.
 
-use coolnet_units::nusselt::WallCondition;
 use coolnet_units::Kelvin;
 use serde::{Deserialize, Serialize};
 
@@ -16,13 +15,12 @@ pub enum AdvectionScheme {
     Upwind,
 }
 
-/// Configuration shared by the 4RM and 2RM simulators.
+/// Configuration shared by the 4RM and 2RM simulators. Channel walls are
+/// always H1 (constant heat flux) in the Nusselt correlation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThermalConfig {
     /// Coolant temperature at every inlet (`T_in`, 300 K in all benchmarks).
     pub t_inlet: Kelvin,
-    /// Wall boundary condition for the Nusselt correlation.
-    pub wall_condition: WallCondition,
     /// Advection discretization.
     pub advection: AdvectionScheme,
     /// Relative residual tolerance of the linear solve.
@@ -35,7 +33,6 @@ impl Default for ThermalConfig {
     fn default() -> Self {
         Self {
             t_inlet: Kelvin::new(300.0),
-            wall_condition: WallCondition::ConstantHeatFlux,
             advection: AdvectionScheme::Central,
             tolerance: 1e-8,
         }

@@ -65,13 +65,6 @@ impl From<SolveError> for ThermalError {
     }
 }
 
-impl From<coolnet_sparse::LadderError> for ThermalError {
-    /// Collapses an exhausted solve to its last recorded error.
-    fn from(e: coolnet_sparse::LadderError) -> Self {
-        ThermalError::Solver(e.into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

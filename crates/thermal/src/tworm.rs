@@ -23,6 +23,7 @@ use crate::error::ThermalError;
 use crate::solution::{Resolution, ThermalSolution};
 use crate::stack::{LayerFlows, LayerKind, Stack};
 use coolnet_grid::{Cell, Coarsening, Dir};
+use coolnet_units::nusselt::WallCondition;
 use coolnet_units::Pascal;
 
 /// Node ids of one layer in the 2RM discretization.
@@ -110,7 +111,10 @@ impl TwoRm {
                                     flow.geometry.height(),
                                     flow.geometry.pitch(),
                                 )
-                                .convection_coefficient(&flow.coolant, config.wall_condition);
+                                .convection_coefficient(
+                                    &flow.coolant,
+                                    WallCondition::ConstantHeatFlux,
+                                );
                                 st[cc].width_sum += w;
                                 st[cc].conv_top_sum += h * w * pitch;
                                 for d in Dir::ALL {

@@ -6,6 +6,8 @@
 
 use coolnet::obs;
 use coolnet::prelude::*;
+use coolnet::sparse::resilience::fault::{self, FaultKind, FaultPlan};
+use coolnet::sparse::SolveError;
 use coolnet_opt::psearch::golden_min;
 use std::sync::{Mutex, MutexGuard};
 
@@ -178,4 +180,35 @@ fn ladder_counters_export_explicit_zeros_and_gate_routes_count() {
     assert_eq!(after.counter_delta(&mid, "ladder.rung1_converged"), 0);
     assert_eq!(after.counter_delta(&mid, "ladder.escalations"), 0);
     assert_eq!(after.counter_delta(&mid, "ladder.attempts"), 1);
+}
+
+/// An exhausted solve ticks `ladder.exhausted` once and counts both of
+/// its attempts and both injected faults, but no solve: perfbench's
+/// `ok_frac` and wasted-attempt figures are read from these counters.
+#[test]
+fn exhausted_solve_counts_its_attempts_but_no_solve() {
+    let _guard = metrics_lock();
+    let (bench, net) = setup();
+    // The flow solves of model construction run before the plan is armed.
+    let ev = Evaluator::new(&bench, &net, ModelChoice::fast()).unwrap();
+
+    let plan = FaultPlan::fail_first(2, FaultKind::NotConverged);
+    let scope = fault::inject(&plan);
+    let before = obs::snapshot();
+    let result = ev.profile(Pascal::from_kilopascals(10.0));
+    let after = obs::snapshot();
+    drop(scope);
+
+    assert!(
+        matches!(
+            result,
+            Err(ThermalError::Solver(SolveError::NotConverged { .. }))
+        ),
+        "both steps faulted must surface the direct step's error"
+    );
+    assert_eq!(plan.fired(), 2);
+    assert_eq!(after.counter_delta(&before, "ladder.exhausted"), 1);
+    assert_eq!(after.counter_delta(&before, "ladder.attempts"), 2);
+    assert_eq!(after.counter_delta(&before, "ladder.injected_faults"), 2);
+    assert_eq!(after.counter_delta(&before, "ladder.solves"), 0);
 }
