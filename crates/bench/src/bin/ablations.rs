@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &StraightParams::default(),
         )?;
         let stack = bench.stack_with(std::slice::from_ref(&net))?;
-        let sim = FourRm::new(&stack, &ThermalConfig::default())?;
+        let sim = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())?;
         // Reach into the assembled system via a solve; time both
         // preconditioners on the same matrix by re-solving.
         let t0 = Instant::now();
@@ -182,7 +182,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             layers.push(Layer::solid(Material::silicon(), 200e-6));
             let stack = Stack::new(bench.dims, bench.pitch, layers)?;
-            let sol = FourRm::new(&stack, &ThermalConfig::default())?.simulate(p)?;
+            let sol = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())?
+                .simulate(p)?;
             println!(
                 "  {:<16} T_max = {:.3} K, dT = {:.3} K",
                 name,
@@ -208,7 +209,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 advection: scheme,
                 ..ThermalConfig::default()
             };
-            let sol = FourRm::new(&stack, &config)?.simulate(Pascal::from_kilopascals(10.0))?;
+            let sol = Simulator::new(&stack, ModelChoice::FourRm, &config)?
+                .simulate(Pascal::from_kilopascals(10.0))?;
             let undershoot = sol
                 .all_temperatures()
                 .iter()

@@ -115,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             };
             let t0 = Instant::now();
-            let Ok(four) = FourRm::new(&stack, &config) else {
+            let Ok(four) = Simulator::new(&stack, ModelChoice::FourRm, &config) else {
                 continue;
             };
             let mut reference: Vec<(f64, ThermalSolution)> = Vec::new();
@@ -130,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
             for &m in &ms {
                 let t0 = Instant::now();
-                let Ok(two) = TwoRm::new(&stack, m, &config) else {
+                let Ok(two) = Simulator::new(&stack, ModelChoice::TwoRm { m }, &config) else {
                     continue;
                 };
                 let mut solved = 0usize;

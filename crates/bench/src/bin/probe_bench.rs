@@ -1,7 +1,7 @@
 //! Probe-path benchmark: probes/sec and solver iterations for the two
 //! steady-solve paths — the cold-rebuild reference
-//! (`FourRm::simulate_reference`) and cached numeric reassembly
-//! (`FourRm::simulate_with_guess`).
+//! (`Simulator::simulate_reference`) and cached numeric reassembly
+//! (`Simulator::simulate_with_guess`).
 //!
 //! ```sh
 //! cargo run --release -p coolnet-bench --bin probe_bench
@@ -96,7 +96,7 @@ fn measure(
     pressures_kpa: &[f64],
     reps: usize,
 ) -> Result<ConfigResult, ThermalError> {
-    let sim = FourRm::new(stack, &ThermalConfig::default())?;
+    let sim = Simulator::new(stack, ModelChoice::FourRm, &ThermalConfig::default())?;
     let probe = |kpa: f64, guess: Option<&ThermalSolution>| {
         let p = Pascal::from_kilopascals(kpa);
         match (cold, guess) {
@@ -183,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the cache is built for.
     let pressures_kpa = ladder(8.0, 16.0, steps);
 
-    let unknowns = FourRm::new(&stack, &ThermalConfig::default())?
+    let unknowns = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())?
         .simulate(Pascal::from_kilopascals(10.0))?
         .all_temperatures()
         .len();

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The paper's §1 criticism, quantified -----------------------------
     println!("\n1-D model prediction vs full 4RM measurement (same design, same P_sys):");
     let stack = design.to_stack(&bench)?;
-    let sim = FourRm::new(&stack, &ThermalConfig::default())?;
+    let sim = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())?;
     let measured = sim.simulate(design.p_sys)?;
     let pred = &design.predicted;
     println!(

@@ -110,8 +110,8 @@ pub mod prelude {
         ModelChoice, NetworkScore, Problem, Profile, SearchControl, SearchOutcome, StopReason,
     };
     pub use coolnet_thermal::{
-        compare, AdvectionScheme, FourRm, PowerMap, Stack, ThermalConfig, ThermalError,
-        ThermalSolution, TwoRm,
+        compare, AdvectionScheme, PowerMap, Simulator, Stack, ThermalConfig, ThermalError,
+        ThermalSolution,
     };
     pub use coolnet_units::{
         Coolant, CubicMetersPerSecond, Kelvin, Material, Meters, Pascal, Watt,

@@ -78,17 +78,6 @@ impl WidthMap {
         }
     }
 
-    /// Sets the width of every cell in a full column (`x` fixed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range or `width` is not positive.
-    pub fn set_col(&mut self, x: u16, width: f64) {
-        for y in 0..self.dims.height() {
-            self.set(Cell::new(x, y), width);
-        }
-    }
-
     /// Checks every width against the pitch (channels cannot be wider than
     /// their cell).
     ///
@@ -113,10 +102,7 @@ mod tests {
     fn uniform_and_overrides() {
         let mut w = WidthMap::uniform(GridDims::new(4, 3), 100e-6);
         w.set_row(1, 60e-6);
-        w.set_col(0, 80e-6);
         assert_eq!(w.get(Cell::new(2, 1)), 60e-6);
-        assert_eq!(w.get(Cell::new(0, 0)), 80e-6);
-        assert_eq!(w.get(Cell::new(0, 1)), 80e-6); // col after row wins
         assert_eq!(w.get(Cell::new(3, 2)), 100e-6);
     }
 

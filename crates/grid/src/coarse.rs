@@ -93,11 +93,6 @@ impl Coarsening {
         self.fine.height().div_ceil(self.m)
     }
 
-    /// The coarse grid as [`GridDims`].
-    pub fn coarse_dims(&self) -> GridDims {
-        GridDims::new(self.coarse_width(), self.coarse_height())
-    }
-
     /// Total number of coarse cells.
     pub fn num_coarse_cells(&self) -> usize {
         self.coarse_width() as usize * self.coarse_height() as usize
@@ -179,7 +174,6 @@ mod tests {
     fn factor_one_is_identity() {
         let dims = GridDims::new(7, 3);
         let c = Coarsening::new(dims, 1);
-        assert_eq!(c.coarse_dims(), dims);
         for cell in dims.iter() {
             assert_eq!(c.coarse_of(cell), (cell.x, cell.y));
         }

@@ -125,15 +125,6 @@ impl CoolingNetwork {
         self.ports.iter().find(|p| p.covers(cell, self.dims))
     }
 
-    /// Liquid neighbors of a liquid cell.
-    pub fn liquid_neighbors(&self, cell: Cell) -> impl Iterator<Item = Cell> + '_ {
-        Dir::ALL.into_iter().filter_map(move |d| {
-            self.dims
-                .neighbor(cell, d)
-                .filter(|&n| self.liquid.contains(n))
-        })
-    }
-
     /// Re-runs the legality validation (always `Ok` for values built through
     /// [`NetworkBuilder`]; useful after deserializing from untrusted data).
     ///
@@ -390,14 +381,6 @@ mod tests {
         assert_eq!(net.wet_port_cells(PortKind::Inlet), vec![Cell::new(0, 1)]);
         assert_eq!(net.wet_port_cells(PortKind::Outlet), vec![Cell::new(4, 1)]);
         assert!(net.validate().is_ok());
-    }
-
-    #[test]
-    fn liquid_neighbors_are_in_channel() {
-        let net = channel_builder().build().unwrap();
-        let n: Vec<_> = net.liquid_neighbors(Cell::new(2, 1)).collect();
-        assert_eq!(n.len(), 2);
-        assert!(n.contains(&Cell::new(1, 1)) && n.contains(&Cell::new(3, 1)));
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Port {
         }
     }
 
-    /// A port covering the full length of `side` on `dims`.
-    pub fn full_side(kind: PortKind, side: Side, dims: GridDims) -> Self {
-        Self::new(kind, side, 0, dims.side_len(side) - 1)
-    }
-
     /// The port kind.
     pub fn kind(&self) -> PortKind {
         self.kind
@@ -146,7 +141,12 @@ mod tests {
     #[test]
     fn full_side_covers_side() {
         let dims = GridDims::new(7, 5);
-        let p = Port::full_side(PortKind::Outlet, Side::East, dims);
+        let p = Port::new(
+            PortKind::Outlet,
+            Side::East,
+            0,
+            dims.side_len(Side::East) - 1,
+        );
         assert_eq!(p.len(), 5);
         let cells: Vec<_> = p.cells(dims).collect();
         assert_eq!(cells[0], Cell::new(6, 0));

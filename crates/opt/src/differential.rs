@@ -54,7 +54,7 @@ use coolnet_grid::{Cell, Dir, GridDims, Side};
 use coolnet_network::builders::straight::{self, StraightParams};
 use coolnet_network::{CoolingNetwork, PortKind};
 use coolnet_thermal::compare::{max_absolute_error, mean_relative_error, mean_relative_rise_error};
-use coolnet_thermal::{FourRm, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm};
+use coolnet_thermal::{Simulator, Stack, ThermalConfig, ThermalError, ThermalSolution};
 use coolnet_units::{ChannelGeometry, Coolant, Kelvin, Pascal};
 use serde::Serialize;
 
@@ -242,7 +242,7 @@ pub fn run_case(spec: &CaseSpec, cfg: &DiffConfig) -> Result<CaseReport, Thermal
     let reference = fine.solve(cfg.p_ref)?;
     let mut agreement = Vec::with_capacity(cfg.coarsenings.len());
     for &m in &cfg.coarsenings {
-        let sol = TwoRm::new(&stack, m, &config)?.simulate(cfg.p_ref)?;
+        let sol = Simulator::new(&stack, ModelChoice::TwoRm { m }, &config)?.simulate(cfg.p_ref)?;
         agreement.push(ModelAgreement {
             m,
             rise_error: mean_relative_rise_error(&reference, &sol, config.t_inlet),
@@ -329,24 +329,10 @@ fn optimum_stability(
     cfg: &DiffConfig,
 ) -> Result<OptimumStability, ThermalError> {
     let m = cfg.coarsenings.first().copied().unwrap_or(2);
-    let two = TwoRm::new(stack, m, config)?;
-    let coarse = search_gradient_optimum(
-        &mut |p, last| match last {
-            Some(prev) => two.simulate_with_guess(p, prev),
-            None => two.simulate(p),
-        },
-        bench,
-        cfg,
-    )?;
-    let four = FourRm::new(stack, config)?;
-    let fine = search_gradient_optimum(
-        &mut |p, last| match last {
-            Some(prev) => four.simulate_with_guess(p, prev),
-            None => four.simulate(p),
-        },
-        bench,
-        cfg,
-    )?;
+    let two = Simulator::new(stack, ModelChoice::TwoRm { m }, config)?;
+    let coarse = search_gradient_optimum(&two, bench, cfg)?;
+    let four = Simulator::new(stack, ModelChoice::FourRm, config)?;
+    let fine = search_gradient_optimum(&four, bench, cfg)?;
     let (pc, pf) = (coarse.p_sys.value(), fine.p_sys.value());
     let abs_diff = (pc - pf).abs();
     let rel_diff = abs_diff / pf.max(cfg.p_floor);
@@ -382,14 +368,10 @@ fn optimum_stability(
     })
 }
 
-/// Warm-started probe: pressure plus the previous solution (the
-/// iterative solvers' initial guess) in, new solution out.
-type ProbeSim<'a> =
-    &'a mut dyn FnMut(Pascal, Option<&ThermalSolution>) -> Result<ThermalSolution, ThermalError>;
-
-/// Algorithm 3 over one warm-started simulator closure.
+/// Algorithm 3 over one simulator, each probe warm-started from the
+/// previous probe's solution.
 fn search_gradient_optimum(
-    sim: ProbeSim<'_>,
+    sim: &Simulator,
     bench: &Benchmark,
     cfg: &DiffConfig,
 ) -> Result<PressureSearchResult, ThermalError> {
@@ -403,7 +385,11 @@ fn search_gradient_optimum(
         // effectively off and `ΔT(P)` is flat, so clamping changes no
         // gated comparison — the stability verdict clamps reported
         // pressures with the same floor.
-        let sol = sim(p.max(Pascal::new(cfg.p_floor)), last.as_ref())?;
+        let p = p.max(Pascal::new(cfg.p_floor));
+        let sol = match &last {
+            Some(prev) => sim.simulate_with_guess(p, prev),
+            None => sim.simulate(p),
+        }?;
         let dt = sol.gradient().value();
         last = Some(sol);
         Ok(dt)

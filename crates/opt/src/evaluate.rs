@@ -1,37 +1,18 @@
-//! Cooling-system evaluation: one network + one benchmark, any pressure.
+//! Cooling-system evaluation: one network + one benchmark, any pressure,
+//! on one thermal [`Simulator`] chosen by [`ModelChoice`].
 
 use coolnet_cases::Benchmark;
 use coolnet_flow::FlowConfig;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
-use coolnet_thermal::{
-    FourRm, LayerFlows, Stack, ThermalConfig, ThermalError, ThermalSolution, TwoRm,
-};
+use coolnet_thermal::{LayerFlows, Simulator, Stack, ThermalConfig, ThermalError, ThermalSolution};
 use coolnet_units::{ChannelGeometry, Kelvin, Pascal, Watt};
 use std::cell::RefCell;
 
+pub use coolnet_thermal::ModelChoice;
+
 /// Thermal profiles evaluated via [`Evaluator::profile`].
 static M_PROFILES: LazyCounter = LazyCounter::new("eval.profiles");
-
-/// Which thermal model backs an [`Evaluator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum ModelChoice {
-    /// The fast 2RM with `m × m`-cell coarsening (inner-loop searches).
-    TwoRm {
-        /// Coarsening factor.
-        m: u16,
-    },
-    /// The accurate 4RM (final stages and reported results).
-    FourRm,
-}
-
-impl ModelChoice {
-    /// The paper's inner-loop choice: 400 µm thermal cells, i.e. `m = 4`
-    /// on the 100 µm pitch.
-    pub fn fast() -> Self {
-        ModelChoice::TwoRm { m: 4 }
-    }
-}
 
 /// The thermal profile of one operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,20 +35,6 @@ pub struct OperatingPoint {
     pub w_pump: Watt,
 }
 
-enum Sim {
-    Two(TwoRm),
-    Four(FourRm),
-}
-
-impl Sim {
-    fn layer_flows(&self) -> &LayerFlows {
-        match self {
-            Sim::Two(s) => s.layer_flows(),
-            Sim::Four(s) => s.layer_flows(),
-        }
-    }
-}
-
 /// Evaluates one cooling system (benchmark + network) at arbitrary system
 /// pressure drops.
 ///
@@ -76,7 +43,7 @@ impl Sim {
 /// warm-started from the simulator's probe history. The evaluator also
 /// exposes the `W_pump ↔ P_sys` conversions of Eq. (10).
 pub struct Evaluator {
-    sim: Sim,
+    sim: Simulator,
     /// Total unit flow `Σ 1/R_layer` over every channel layer: the layers
     /// share the same system pressure drop, so pumping powers add.
     total_unit_flow: f64,
@@ -118,10 +85,7 @@ impl Evaluator {
     /// Propagates hydraulic and assembly failures.
     pub fn from_stack(stack: &Stack, model: ModelChoice) -> Result<Self, ThermalError> {
         let config = ThermalConfig::default();
-        let sim = match model {
-            ModelChoice::TwoRm { m } => Sim::Two(TwoRm::new(stack, m, &config)?),
-            ModelChoice::FourRm => Sim::Four(FourRm::new(stack, &config)?),
-        };
+        let sim = Simulator::new(stack, model, &config)?;
         // W_pump sums over every channel layer, read from the hydraulic
         // models the simulator assembled its advection from. A multi-die
         // stack has one channel layer per die; counting only the first
@@ -216,10 +180,7 @@ impl Evaluator {
             p_sys.value().is_finite(),
             "system pressure drop must be finite, got {p_sys}"
         );
-        match &self.sim {
-            Sim::Two(s) => s.simulate(p_sys),
-            Sim::Four(s) => s.simulate(p_sys),
-        }
+        self.sim.simulate(p_sys)
     }
 
     /// Pumping power at `p_sys`, summed over every channel layer
@@ -261,23 +222,14 @@ impl Evaluator {
     /// makes caching behaviorally transparent. The probe counter is left
     /// untouched — it is a diagnostic over the evaluator's lifetime.
     pub fn reset_state(&self) {
-        match &self.sim {
-            Sim::Two(s) => s.reset_probe_history(),
-            Sim::Four(s) => s.reset_probe_history(),
-        }
+        self.sim.reset_probe_history();
     }
 }
 
 impl std::fmt::Debug for Evaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Evaluator")
-            .field(
-                "model",
-                &match self.sim {
-                    Sim::Two(_) => "2RM",
-                    Sim::Four(_) => "4RM",
-                },
-            )
+            .field("model", &self.sim.model())
             .field("probes", &self.probe_count())
             .finish()
     }

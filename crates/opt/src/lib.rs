@@ -8,9 +8,12 @@
 //!   probe search over the uni-modal-or-decreasing `ΔT = f(P_sys)`), the
 //!   monotone binary search on `T_max = h(P_sys)`, and the golden-section
 //!   search used by Problem 2;
-//! * **Network evaluation** — [`netscore`] implements Algorithm 2
-//!   (pumping-power score `W'_pump`) and its Problem-2 counterpart
-//!   (minimum-`ΔT` score under a `W*_pump` budget);
+//! * **Network evaluation** — an [`Evaluator`] holds one
+//!   [`coolnet_thermal::Simulator`] built from a [`ModelChoice`] (defined
+//!   in `coolnet-thermal`, re-exported here and from [`evaluate`]);
+//!   [`netscore`] implements Algorithm 2 (pumping-power score `W'_pump`)
+//!   and its Problem-2 counterpart (minimum-`ΔT` score under a `W*_pump`
+//!   budget);
 //! * **Outer level** — [`treeopt`] runs the staged simulated annealing
 //!   over hierarchical tree-like network parameters (§4.4, Table 1),
 //!   including the Problem-2 adaptations of §5 (grouped iterations under

@@ -45,8 +45,7 @@ use coolnet_cases::{floorplan, Benchmark};
 use coolnet_grid::GridDims;
 use coolnet_network::CoolingNetwork;
 use coolnet_obs::LazyCounter;
-use coolnet_thermal::transient::Transient;
-use coolnet_thermal::{FourRm, LayerFlows, PowerMap, ThermalConfig, ThermalError, TwoRm};
+use coolnet_thermal::{PowerMap, Simulator, ThermalConfig, ThermalError};
 use coolnet_units::{Kelvin, Pascal, Watt};
 use serde::{Deserialize, Serialize};
 
@@ -578,44 +577,6 @@ impl std::error::Error for ScenarioError {
     }
 }
 
-/// The thermal plant behind [`run_scenario`].
-enum Plant {
-    Two(TwoRm),
-    Four(FourRm),
-}
-
-impl Plant {
-    /// Builds the plant for `stack` under the chosen thermal model.
-    fn new(
-        stack: &coolnet_thermal::Stack,
-        model: ModelChoice,
-        config: &ThermalConfig,
-    ) -> Result<Self, ThermalError> {
-        Ok(match model {
-            ModelChoice::TwoRm { m } => Plant::Two(TwoRm::new(stack, m, config)?),
-            ModelChoice::FourRm => Plant::Four(FourRm::new(stack, config)?),
-        })
-    }
-
-    /// The hydraulic models of the plant's channel layers.
-    fn layer_flows(&self) -> &LayerFlows {
-        match self {
-            Plant::Two(s) => s.layer_flows(),
-            Plant::Four(s) => s.layer_flows(),
-        }
-    }
-
-    /// Builds the run's transient integrator at pressure `p`, from a
-    /// uniform `T_in` field.
-    fn integrator(&self, p: Pascal, dt: f64) -> Result<Transient<'_>, ThermalError> {
-        M_INTEGRATOR_REBUILDS.inc();
-        match self {
-            Plant::Two(s) => s.transient(p, dt, None),
-            Plant::Four(s) => s.transient(p, dt, None),
-        }
-    }
-}
-
 /// Number of integrator steps covering `duration`.
 ///
 /// The naive `(duration / dt).ceil()` is float-sensitive: an exact-ratio
@@ -690,7 +651,7 @@ pub fn run_scenario(
         Ok(s) => s,
         Err(e) => return Err(fail(ctx, e)),
     };
-    let plant = match Plant::new(&stack, spec.model, thermal) {
+    let plant = match Simulator::new(&stack, spec.model, thermal) {
         Ok(p) => p,
         Err(e) => return Err(fail(ctx, e)),
     };
@@ -717,7 +678,8 @@ pub fn run_scenario(
 
     // One integrator for the whole run, built at `p_initial`; a t = 0
     // forced-pressure event refreshes it before any step runs.
-    let mut tr = match plant.integrator(spec.p_initial, spec.dt) {
+    M_INTEGRATOR_REBUILDS.inc();
+    let mut tr = match plant.transient(spec.p_initial, spec.dt, None) {
         Ok(t) => t,
         Err(e) => return Err(fail(ctx, e)),
     };

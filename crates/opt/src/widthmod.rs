@@ -12,7 +12,7 @@
 //! width-modulation designer on top of it, and (c) the bridge to the full
 //! 2-D/3-D models (via [`WidthMap`]-aware stacks) so the paper's
 //! criticism can be measured: compare [`OneDimModel::predict`] against a
-//! [`FourRm`](coolnet_thermal::FourRm) solve of the same design
+//! 4RM [`Simulator`](coolnet_thermal::Simulator) solve of the same design
 //! (`cargo run -p coolnet-bench --bin widthmod`).
 
 use coolnet_cases::Benchmark;
@@ -449,8 +449,12 @@ mod tests {
         let stack = design.to_stack(&b).expect("stack builds");
         assert_eq!(stack.channel_layer_indices().len(), b.num_dies);
         // And the stack simulates under the full 4RM model.
-        let sim = coolnet_thermal::FourRm::new(&stack, &coolnet_thermal::ThermalConfig::default())
-            .expect("4RM assembles width-modulated stacks");
+        let sim = coolnet_thermal::Simulator::new(
+            &stack,
+            coolnet_thermal::ModelChoice::FourRm,
+            &coolnet_thermal::ThermalConfig::default(),
+        )
+        .expect("4RM assembles width-modulated stacks");
         let sol = sim.simulate(design.p_sys).expect("solves");
         assert!(sol.max_temperature().value() > 300.0);
     }

@@ -1,4 +1,4 @@
-//! Shared assembly core for the 4RM and 2RM simulators.
+//! Shared assembly core of the 4RM and 2RM models.
 //!
 //! Both models reduce to the same algebraic shape: a conduction operator
 //! that is independent of the operating point, plus an advection operator
@@ -697,7 +697,7 @@ mod tests {
     }
 
     /// A 9×9 single-die 4RM stack with straight channels on even rows.
-    fn four_rm_9x9() -> crate::FourRm {
+    fn four_rm_9x9() -> crate::Simulator {
         use coolnet_grid::{Cell, Dir, Side};
         use coolnet_network::{CoolingNetwork, PortKind};
         let dims = GridDims::new(9, 9);
@@ -711,7 +711,12 @@ mod tests {
         let stack =
             crate::Stack::interlayer(dims, 100e-6, vec![power], &[b.build().unwrap()], 200e-6)
                 .unwrap();
-        crate::FourRm::new(&stack, &ThermalConfig::default()).unwrap()
+        crate::Simulator::new(
+            &stack,
+            crate::ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap()
     }
 
     /// Probes `asm` through its cache at each pressure in turn.
@@ -737,7 +742,7 @@ mod tests {
     #[test]
     fn projected_guess_beats_extrapolation_and_last_solution() {
         let sim = four_rm_9x9();
-        let asm = sim.assembled();
+        let asm = &sim.assembled;
         let ps = [2000.0, 3000.0, 4000.0];
         let sols = probe_all(asm, &ps);
         let (x1, x2) = (sols[1].all_temperatures(), sols[2].all_temperatures());
@@ -766,7 +771,7 @@ mod tests {
     #[test]
     fn reprobe_at_a_recorded_pressure_converges_at_once() {
         let sim = four_rm_9x9();
-        let asm = sim.assembled();
+        let asm = &sim.assembled;
         let sols = probe_all(asm, &[2000.0, 3000.0, 4000.0, 3000.0]);
         assert!(sols[2].stats().iterations > 1, "{:?}", sols[2].stats());
         assert!(sols[3].stats().iterations <= 1, "{:?}", sols[3].stats());
@@ -785,11 +790,11 @@ mod tests {
     #[test]
     fn reset_history_replays_a_fresh_cache_bit_for_bit() {
         let used = four_rm_9x9();
-        probe_all(used.assembled(), &[2000.0, 3000.0, 4000.0, 5000.0, 6000.0]);
-        used.assembled().reset_probe_history();
+        probe_all(&used.assembled, &[2000.0, 3000.0, 4000.0, 5000.0, 6000.0]);
+        used.assembled.reset_probe_history();
         let fresh = four_rm_9x9();
-        let a = probe_all(used.assembled(), &[4500.0, 3500.0]);
-        let b = probe_all(fresh.assembled(), &[4500.0, 3500.0]);
+        let a = probe_all(&used.assembled, &[4500.0, 3500.0]);
+        let b = probe_all(&fresh.assembled, &[4500.0, 3500.0]);
         for (a, b) in a.iter().zip(&b) {
             assert_eq!(a.stats(), b.stats());
             let bits = |s: &ThermalSolution| -> Vec<u64> {

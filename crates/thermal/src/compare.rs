@@ -117,11 +117,10 @@ pub fn max_absolute_error(reference: &ThermalSolution, test: &ThermalSolution) -
 mod tests {
     use super::*;
     use crate::config::ThermalConfig;
-    use crate::fourrm::FourRm;
     use crate::power::PowerMap;
+    use crate::simulator::{ModelChoice, Simulator};
     use crate::solution::{Resolution, SourceLayerTemps};
     use crate::stack::Stack;
-    use crate::tworm::TwoRm;
     use coolnet_grid::{Cell, Dir, GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
     use coolnet_sparse::SolveStats;
@@ -150,7 +149,7 @@ mod tests {
     fn identical_solutions_have_zero_error() {
         let dims = GridDims::new(11, 11);
         let s = stack(dims);
-        let sol = FourRm::new(&s, &ThermalConfig::default())
+        let sol = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default())
             .unwrap()
             .simulate(Pascal::from_kilopascals(5.0))
             .unwrap();
@@ -168,10 +167,16 @@ mod tests {
         let s = stack(dims);
         let p = Pascal::from_kilopascals(5.0);
         let config = ThermalConfig::default();
-        let reference = FourRm::new(&s, &config).unwrap().simulate(p).unwrap();
+        let reference = Simulator::new(&s, ModelChoice::FourRm, &config)
+            .unwrap()
+            .simulate(p)
+            .unwrap();
         let mut errors = Vec::new();
         for m in [1u16, 3, 7] {
-            let sol = TwoRm::new(&s, m, &config).unwrap().simulate(p).unwrap();
+            let sol = Simulator::new(&s, ModelChoice::TwoRm { m }, &config)
+                .unwrap()
+                .simulate(p)
+                .unwrap();
             errors.push(mean_relative_rise_error(&reference, &sol, config.t_inlet));
         }
         // Not necessarily strictly monotone at every step, but the coarsest

@@ -15,8 +15,9 @@ pub enum AdvectionScheme {
     Upwind,
 }
 
-/// Configuration shared by the 4RM and 2RM simulators. Channel walls are
-/// always H1 (constant heat flux) in the Nusselt correlation.
+/// Configuration of a [`Simulator`](crate::Simulator) under either
+/// model. Channel walls are always H1 (constant heat flux) in the Nusselt
+/// correlation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThermalConfig {
     /// Coolant temperature at every inlet (`T_in`, 300 K in all benchmarks).

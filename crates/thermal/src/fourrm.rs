@@ -1,4 +1,5 @@
-//! The 4-register-model (4RM) thermal simulator (§2.2).
+//! Assembly of the 4-register model (4RM, §2.2) behind
+//! [`ModelChoice::FourRm`](crate::ModelChoice::FourRm).
 //!
 //! Thermal cells conform to the microchannel geometry: one node per basic
 //! cell per layer. Heat transfer follows Eqs. (4)–(6): solid–solid
@@ -9,322 +10,235 @@
 use crate::assembly::{series, Assembled, ProbeCacheCell, SourceLayerMeta};
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
-use crate::solution::{Resolution, ThermalSolution};
+use crate::solution::Resolution;
 use crate::stack::{LayerFlows, LayerKind, Stack};
 use coolnet_grid::{Cell, Dir};
 use coolnet_units::nusselt::WallCondition;
-use coolnet_units::Pascal;
 
-/// The assembled 4RM simulator for one [`Stack`].
+/// Assembles the 4RM system for `stack`, with the hydraulic model of
+/// each channel layer the advection is built from.
 ///
-/// Assembly (including the hydraulic solve) happens once in
-/// [`FourRm::new`]; each [`simulate`](FourRm::simulate) call then solves
-/// the thermal system at one operating pressure.
-#[derive(Debug, Clone)]
-pub struct FourRm {
-    assembled: Assembled,
-    config: ThermalConfig,
-    flows: LayerFlows,
-}
+/// # Errors
+///
+/// Returns [`ThermalError::Flow`] if a channel layer's hydraulic model
+/// cannot be built.
+pub(crate) fn assemble(
+    stack: &Stack,
+    config: &ThermalConfig,
+) -> Result<(Assembled, LayerFlows), ThermalError> {
+    let dims = stack.dims();
+    let pitch = stack.pitch();
+    let nc = dims.num_cells();
+    let layers = stack.layers();
+    let nl = layers.len();
+    let n = nl * nc;
+    let node = |l: usize, idx: usize| l * nc + idx;
 
-impl FourRm {
-    /// Assembles the 4RM system for `stack`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Flow`] if a channel layer's hydraulic model
-    /// cannot be built.
-    pub fn new(stack: &Stack, config: &ThermalConfig) -> Result<Self, ThermalError> {
-        let dims = stack.dims();
-        let pitch = stack.pitch();
-        let nc = dims.num_cells();
-        let layers = stack.layers();
-        let nl = layers.len();
-        let n = nl * nc;
-        let node = |l: usize, idx: usize| l * nc + idx;
+    let mut asm = Assembled {
+        n,
+        cond: Vec::with_capacity(7 * n),
+        adv_unit: Vec::new(),
+        rhs_source: vec![0.0; n],
+        rhs_inlet_unit: vec![0.0; n],
+        capacitance: vec![0.0; n],
+        source_meta: Vec::new(),
+        cache: ProbeCacheCell::default(),
+    };
 
-        let mut asm = Assembled {
-            n,
-            cond: Vec::with_capacity(7 * n),
-            adv_unit: Vec::new(),
-            rhs_source: vec![0.0; n],
-            rhs_inlet_unit: vec![0.0; n],
-            capacitance: vec![0.0; n],
-            source_meta: Vec::new(),
-            cache: ProbeCacheCell::default(),
-        };
-
-        // Liquid flags per layer (channel layers only).
-        let liquid_at = |l: usize, cell: Cell| -> bool {
-            match &layers[l].kind {
-                LayerKind::Channel { network, .. } => network.is_liquid(cell),
-                _ => false,
-            }
-        };
-        // Per-cell channel width and convection coefficient (both honor
-        // width-modulation maps; uniform layers fall back to the layer
-        // geometry).
-        let width_at = |l: usize, cell: Cell| -> f64 {
-            match &layers[l].kind {
-                LayerKind::Channel { flow, widths, .. } => widths
-                    .as_ref()
-                    .map_or(flow.geometry.width(), |w| w.get(cell)),
-                _ => 0.0,
-            }
-        };
-        // Vertical conductivity of a channel-layer solid cell: TSV cells
-        // with a fill material conduct with the fill (e.g. copper vias).
-        let k_vertical_at = |l: usize, cell: Cell| -> f64 {
-            match &layers[l].kind {
-                LayerKind::Channel {
-                    network, tsv_fill, ..
-                } => match tsv_fill {
-                    Some(fill) if network.tsv().contains(cell) => fill.thermal_conductivity,
-                    _ => layers[l].solid_conductivity(),
-                },
+    // Liquid flags per layer (channel layers only).
+    let liquid_at = |l: usize, cell: Cell| -> bool {
+        match &layers[l].kind {
+            LayerKind::Channel { network, .. } => network.is_liquid(cell),
+            _ => false,
+        }
+    };
+    // Per-cell channel width and convection coefficient (both honor
+    // width-modulation maps; uniform layers fall back to the layer
+    // geometry).
+    let width_at = |l: usize, cell: Cell| -> f64 {
+        match &layers[l].kind {
+            LayerKind::Channel { flow, widths, .. } => widths
+                .as_ref()
+                .map_or(flow.geometry.width(), |w| w.get(cell)),
+            _ => 0.0,
+        }
+    };
+    // Vertical conductivity of a channel-layer solid cell: TSV cells
+    // with a fill material conduct with the fill (e.g. copper vias).
+    let k_vertical_at = |l: usize, cell: Cell| -> f64 {
+        match &layers[l].kind {
+            LayerKind::Channel {
+                network, tsv_fill, ..
+            } => match tsv_fill {
+                Some(fill) if network.tsv().contains(cell) => fill.thermal_conductivity,
                 _ => layers[l].solid_conductivity(),
+            },
+            _ => layers[l].solid_conductivity(),
+        }
+    };
+    let h_conv_at = |l: usize, cell: Cell| -> f64 {
+        match &layers[l].kind {
+            LayerKind::Channel { flow, .. } => {
+                let geom = coolnet_units::ChannelGeometry::new(
+                    width_at(l, cell),
+                    flow.geometry.height(),
+                    flow.geometry.pitch(),
+                );
+                geom.convection_coefficient(&flow.coolant, WallCondition::ConstantHeatFlux)
             }
-        };
-        let h_conv_at = |l: usize, cell: Cell| -> f64 {
-            match &layers[l].kind {
-                LayerKind::Channel { flow, .. } => {
-                    let geom = coolnet_units::ChannelGeometry::new(
-                        width_at(l, cell),
-                        flow.geometry.height(),
-                        flow.geometry.pitch(),
-                    );
-                    geom.convection_coefficient(&flow.coolant, WallCondition::ConstantHeatFlux)
-                }
-                _ => 0.0,
-            }
-        };
+            _ => 0.0,
+        }
+    };
 
-        // Sources and capacitances.
-        for (l, layer) in layers.iter().enumerate() {
-            let t = layer.thickness;
-            match &layer.kind {
-                LayerKind::Solid { material } => {
-                    let cap = material.volumetric_heat_capacity() * pitch * pitch * t;
-                    for idx in 0..nc {
-                        asm.capacitance[node(l, idx)] = cap;
-                    }
+    // Sources and capacitances.
+    for (l, layer) in layers.iter().enumerate() {
+        let t = layer.thickness;
+        match &layer.kind {
+            LayerKind::Solid { material } => {
+                let cap = material.volumetric_heat_capacity() * pitch * pitch * t;
+                for idx in 0..nc {
+                    asm.capacitance[node(l, idx)] = cap;
                 }
-                LayerKind::Source { material, power } => {
-                    let cap = material.volumetric_heat_capacity() * pitch * pitch * t;
-                    for cell in dims.iter() {
-                        let i = node(l, dims.index(cell));
-                        asm.capacitance[i] = cap;
-                        asm.rhs_source[i] += power.get(cell);
-                    }
-                    asm.source_meta.push(SourceLayerMeta {
-                        layer_index: l,
-                        dims,
-                        resolution: Resolution::Fine,
-                        nodes: (0..nc).map(|idx| node(l, idx)).collect(),
-                    });
+            }
+            LayerKind::Source { material, power } => {
+                let cap = material.volumetric_heat_capacity() * pitch * pitch * t;
+                for cell in dims.iter() {
+                    let i = node(l, dims.index(cell));
+                    asm.capacitance[i] = cap;
+                    asm.rhs_source[i] += power.get(cell);
                 }
-                LayerKind::Channel {
-                    network,
-                    flow,
-                    material,
-                    ..
-                } => {
-                    let cap_solid = material.volumetric_heat_capacity() * pitch * pitch * t;
-                    for cell in dims.iter() {
-                        let i = node(l, dims.index(cell));
-                        asm.capacitance[i] = if network.is_liquid(cell) {
-                            let w = width_at(l, cell);
-                            flow.coolant.volumetric_heat_capacity() * w * pitch * t
-                                + material.volumetric_heat_capacity() * (pitch - w) * pitch * t
-                        } else {
-                            cap_solid
-                        };
-                    }
+                asm.source_meta.push(SourceLayerMeta {
+                    layer_index: l,
+                    dims,
+                    resolution: Resolution::Fine,
+                    nodes: (0..nc).map(|idx| node(l, idx)).collect(),
+                });
+            }
+            LayerKind::Channel {
+                network,
+                flow,
+                material,
+                ..
+            } => {
+                let cap_solid = material.volumetric_heat_capacity() * pitch * pitch * t;
+                for cell in dims.iter() {
+                    let i = node(l, dims.index(cell));
+                    asm.capacitance[i] = if network.is_liquid(cell) {
+                        let w = width_at(l, cell);
+                        flow.coolant.volumetric_heat_capacity() * w * pitch * t
+                            + material.volumetric_heat_capacity() * (pitch - w) * pitch * t
+                    } else {
+                        cap_solid
+                    };
                 }
             }
         }
+    }
 
-        // In-plane conduction and side-wall convection.
-        for (l, layer) in layers.iter().enumerate() {
-            let t = layer.thickness;
-            let k = layer.solid_conductivity();
-            let a_face = t * pitch;
-            let g_ss = k * a_face / pitch;
-            let g_ss_half = k * a_face / (pitch / 2.0);
-            for cell in dims.iter() {
-                for dir in [Dir::East, Dir::North] {
-                    let Some(nb) = dims.neighbor(cell, dir) else {
-                        continue;
-                    };
-                    let (li, lj) = (liquid_at(l, cell), liquid_at(l, nb));
-                    let g = match (li, lj) {
-                        (false, false) => g_ss,
-                        (true, true) => 0.0, // axial conduction in coolant ignored
-                        // Side wall: half-cell solid path in series with the
-                        // convective film (the 4RM side registers). The film
-                        // coefficient belongs to the liquid cell.
-                        _ => {
-                            let h = if li {
-                                h_conv_at(l, cell)
-                            } else {
-                                h_conv_at(l, nb)
-                            };
-                            series(g_ss_half, h * a_face)
-                        }
-                    };
-                    asm.add_conductance(node(l, dims.index(cell)), node(l, dims.index(nb)), g);
-                }
-            }
-        }
-
-        // Vertical conduction / top-bottom wall convection.
-        for l in 0..nl.saturating_sub(1) {
-            let u = l + 1;
-            let (t_l, t_u) = (layers[l].thickness, layers[u].thickness);
-            let (k_l, k_u) = (
-                layers[l].solid_conductivity(),
-                layers[u].solid_conductivity(),
-            );
-            let a_full = pitch * pitch;
-            for cell in dims.iter() {
-                let idx = dims.index(cell);
-                let (low_liq, up_liq) = (liquid_at(l, cell), liquid_at(u, cell));
-                let g = match (low_liq, up_liq) {
-                    (false, false) => series(
-                        k_vertical_at(l, cell) * a_full / (t_l / 2.0),
-                        k_vertical_at(u, cell) * a_full / (t_u / 2.0),
-                    ),
-                    (true, false) => {
-                        // Liquid top wall: film in series with the upper
-                        // half-layer. Convective area is the channel width.
-                        let a_conv = width_at(l, cell) * pitch;
-                        series(h_conv_at(l, cell) * a_conv, k_u * a_full / (t_u / 2.0))
-                    }
-                    (false, true) => {
-                        let a_conv = width_at(u, cell) * pitch;
-                        series(h_conv_at(u, cell) * a_conv, k_l * a_full / (t_l / 2.0))
-                    }
-                    // Stacked channel layers do not exchange heat directly.
-                    (true, true) => 0.0,
+    // In-plane conduction and side-wall convection.
+    for (l, layer) in layers.iter().enumerate() {
+        let t = layer.thickness;
+        let k = layer.solid_conductivity();
+        let a_face = t * pitch;
+        let g_ss = k * a_face / pitch;
+        let g_ss_half = k * a_face / (pitch / 2.0);
+        for cell in dims.iter() {
+            for dir in [Dir::East, Dir::North] {
+                let Some(nb) = dims.neighbor(cell, dir) else {
+                    continue;
                 };
-                asm.add_conductance(node(l, idx), node(u, idx), g);
+                let (li, lj) = (liquid_at(l, cell), liquid_at(l, nb));
+                let g = match (li, lj) {
+                    (false, false) => g_ss,
+                    (true, true) => 0.0, // axial conduction in coolant ignored
+                    // Side wall: half-cell solid path in series with the
+                    // convective film (the 4RM side registers). The film
+                    // coefficient belongs to the liquid cell.
+                    _ => {
+                        let h = if li {
+                            h_conv_at(l, cell)
+                        } else {
+                            h_conv_at(l, nb)
+                        };
+                        series(g_ss_half, h * a_face)
+                    }
+                };
+                asm.add_conductance(node(l, dims.index(cell)), node(l, dims.index(nb)), g);
             }
         }
+    }
 
-        // Advection from the hydraulic solution of each channel layer.
-        let flows = LayerFlows::new(stack)?;
-        for (l, model) in flows.iter() {
-            let cv = model.config().coolant.volumetric_heat_capacity();
-            let p = model.unit_pressures();
-            for (i, &cell) in model.cells().iter().enumerate() {
-                let ni = node(l, dims.index(cell));
-                for dir in [Dir::East, Dir::North] {
-                    let Some(nb) = dims.neighbor(cell, dir) else {
-                        continue;
-                    };
-                    let Some(j) = model.index_of(nb) else {
-                        continue;
-                    };
-                    let q_unit = model.link_conductance(i, j) * (p[i] - p[j]);
-                    let nj = node(l, dims.index(nb));
-                    asm.add_advection_face(ni, nj, q_unit, cv, config.advection);
+    // Vertical conduction / top-bottom wall convection.
+    for l in 0..nl.saturating_sub(1) {
+        let u = l + 1;
+        let (t_l, t_u) = (layers[l].thickness, layers[u].thickness);
+        let (k_l, k_u) = (
+            layers[l].solid_conductivity(),
+            layers[u].solid_conductivity(),
+        );
+        let a_full = pitch * pitch;
+        for cell in dims.iter() {
+            let idx = dims.index(cell);
+            let (low_liq, up_liq) = (liquid_at(l, cell), liquid_at(u, cell));
+            let g = match (low_liq, up_liq) {
+                (false, false) => series(
+                    k_vertical_at(l, cell) * a_full / (t_l / 2.0),
+                    k_vertical_at(u, cell) * a_full / (t_u / 2.0),
+                ),
+                (true, false) => {
+                    // Liquid top wall: film in series with the upper
+                    // half-layer. Convective area is the channel width.
+                    let a_conv = width_at(l, cell) * pitch;
+                    series(h_conv_at(l, cell) * a_conv, k_u * a_full / (t_u / 2.0))
                 }
-                let (g_in, g_out) = model.port_conductance_of(i);
-                let q_in_unit = g_in * (1.0 - p[i]);
-                let q_out_unit = g_out * p[i];
-                asm.add_port_advection(ni, q_in_unit, q_out_unit, cv);
-            }
+                (false, true) => {
+                    let a_conv = width_at(u, cell) * pitch;
+                    series(h_conv_at(u, cell) * a_conv, k_l * a_full / (t_l / 2.0))
+                }
+                // Stacked channel layers do not exchange heat directly.
+                (true, true) => 0.0,
+            };
+            asm.add_conductance(node(l, idx), node(u, idx), g);
         }
-
-        Ok(Self {
-            assembled: asm,
-            config: config.clone(),
-            flows,
-        })
     }
 
-    /// Number of thermal nodes (`layers × cells`).
-    pub fn num_nodes(&self) -> usize {
-        self.assembled.n
+    // Advection from the hydraulic solution of each channel layer.
+    let flows = LayerFlows::new(stack)?;
+    for (l, model) in flows.iter() {
+        let cv = model.config().coolant.volumetric_heat_capacity();
+        let p = model.unit_pressures();
+        for (i, &cell) in model.cells().iter().enumerate() {
+            let ni = node(l, dims.index(cell));
+            for dir in [Dir::East, Dir::North] {
+                let Some(nb) = dims.neighbor(cell, dir) else {
+                    continue;
+                };
+                let Some(j) = model.index_of(nb) else {
+                    continue;
+                };
+                let q_unit = model.link_conductance(i, j) * (p[i] - p[j]);
+                let nj = node(l, dims.index(nb));
+                asm.add_advection_face(ni, nj, q_unit, cv, config.advection);
+            }
+            let (g_in, g_out) = model.port_conductance_of(i);
+            let q_in_unit = g_in * (1.0 - p[i]);
+            let q_out_unit = g_out * p[i];
+            asm.add_port_advection(ni, q_in_unit, q_out_unit, cv);
+        }
     }
 
-    /// The hydraulic model of each channel layer the advection was
-    /// assembled from.
-    pub fn layer_flows(&self) -> &LayerFlows {
-        &self.flows
-    }
-
-    /// Forgets the probe cache's warm-start solution history, so the next
-    /// probe behaves exactly like the first probe of a freshly built
-    /// simulator. Evaluator-reuse layers call this between logically
-    /// independent evaluation sequences to keep results bitwise-identical
-    /// to rebuilding the simulator.
-    pub fn reset_probe_history(&self) {
-        self.assembled.reset_probe_history();
-    }
-
-    /// Steady-state simulation at system pressure drop `p_sys`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure and
-    /// [`ThermalError::Solver`] if the linear solve fails.
-    pub fn simulate(&self, p_sys: Pascal) -> Result<ThermalSolution, ThermalError> {
-        self.assembled.steady(p_sys, &self.config, None)
-    }
-
-    /// Steady-state simulation at `p_sys` rebuilt from scratch: full
-    /// matrix assembly and a fresh ILU(0) factorization, started from
-    /// `guess` (or a uniform `T_in` field), with the probe cache neither
-    /// read nor written. This is the reference the probe cache behind
-    /// [`simulate`](Self::simulate) is checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`simulate`](Self::simulate).
-    pub fn simulate_reference(
-        &self,
-        p_sys: Pascal,
-        guess: Option<&ThermalSolution>,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.assembled.steady_reference(
-            p_sys,
-            &self.config,
-            guess.map(ThermalSolution::all_temperatures),
-        )
-    }
-
-    /// Like [`simulate`](Self::simulate) but warm-started from a previous
-    /// solution's node temperatures — useful inside pressure sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`simulate`](Self::simulate).
-    pub fn simulate_with_guess(
-        &self,
-        p_sys: Pascal,
-        guess: &ThermalSolution,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.assembled
-            .steady(p_sys, &self.config, Some(guess.all_temperatures()))
-    }
-
-    pub(crate) fn assembled(&self) -> &Assembled {
-        &self.assembled
-    }
-
-    pub(crate) fn config(&self) -> &ThermalConfig {
-        &self.config
-    }
+    Ok((asm, flows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::power::PowerMap;
+    use crate::simulator::{ModelChoice, Simulator};
     use coolnet_flow::FlowModel;
     use coolnet_grid::{GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
+    use coolnet_units::Pascal;
 
     fn straight_net(dims: GridDims) -> CoolingNetwork {
         let mut b = CoolingNetwork::builder(dims);
@@ -361,10 +275,15 @@ mod tests {
         // conduction-dominated system BiCGSTAB cannot solve, rescued by
         // the direct step.
         let dims = GridDims::new(9, 9);
-        let sim = FourRm::new(&stack(dims, 3.0), &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(
+            &stack(dims, 3.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let (a, b) = sim
-            .assembled()
-            .system(Pascal::new(1e-6), sim.config().t_inlet.value());
+            .assembled
+            .system(Pascal::new(1e-6), sim.config.t_inlet.value());
         let rescued = resilience::solve(
             Krylov::Bicgstab,
             &a,
@@ -385,7 +304,7 @@ mod tests {
         // P = Cv · Q_sys · (T_out_mixed − T_in).
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 3.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let p_sys = Pascal::from_kilopascals(5.0);
         let sol = sim.simulate(p_sys).unwrap();
 
@@ -416,7 +335,7 @@ mod tests {
     fn higher_pressure_cools_better() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 5.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let t1 = sim
             .simulate(Pascal::from_kilopascals(1.0))
             .unwrap()
@@ -434,7 +353,7 @@ mod tests {
         // Factor 1 of §3: coolant heats up along the channel.
         let dims = GridDims::new(11, 11);
         let s = stack(dims, 5.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(3.0)).unwrap();
         let layer = &sol.source_layers()[0];
         let up = layer.temperature(Cell::new(1, 5)).value();
@@ -446,7 +365,7 @@ mod tests {
     fn temperatures_never_undershoot_inlet() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 2.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(8.0)).unwrap();
         // Central differencing may produce tiny undershoots at high Péclet;
         // allow a small tolerance but nothing gross.
@@ -459,7 +378,7 @@ mod tests {
     fn zero_power_stays_at_inlet_temperature() {
         let dims = GridDims::new(7, 7);
         let s = stack(dims, 0.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(5.0)).unwrap();
         for &t in sol.all_temperatures() {
             assert!((t - 300.0).abs() < 1e-6);
@@ -470,8 +389,18 @@ mod tests {
     #[test]
     fn more_power_means_hotter() {
         let dims = GridDims::new(7, 7);
-        let sim_lo = FourRm::new(&stack(dims, 1.0), &ThermalConfig::default()).unwrap();
-        let sim_hi = FourRm::new(&stack(dims, 4.0), &ThermalConfig::default()).unwrap();
+        let sim_lo = Simulator::new(
+            &stack(dims, 1.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap();
+        let sim_hi = Simulator::new(
+            &stack(dims, 4.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let t_lo = sim_lo.simulate(p).unwrap().max_temperature();
         let t_hi = sim_hi.simulate(p).unwrap().max_temperature();
@@ -488,7 +417,12 @@ mod tests {
     #[test]
     fn zero_pressure_is_rejected() {
         let dims = GridDims::new(7, 7);
-        let sim = FourRm::new(&stack(dims, 1.0), &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(
+            &stack(dims, 1.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         assert!(matches!(
             sim.simulate(Pascal::new(0.0)),
             Err(ThermalError::ZeroFlow)
@@ -498,17 +432,26 @@ mod tests {
     #[test]
     fn warm_start_converges_faster() {
         let dims = GridDims::new(9, 9);
-        let sim = FourRm::new(&stack(dims, 5.0), &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(
+            &stack(dims, 5.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(5.0)).unwrap();
         let warm = sim
             .simulate_with_guess(Pascal::from_kilopascals(5.2), &sol)
             .unwrap();
         // The cold reference needs a fresh simulator: `sim`'s probe cache
         // now holds a solution history that warm-starts any further probe.
-        let cold = FourRm::new(&stack(dims, 5.0), &ThermalConfig::default())
-            .unwrap()
-            .simulate(Pascal::from_kilopascals(5.2))
-            .unwrap();
+        let cold = Simulator::new(
+            &stack(dims, 5.0),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap()
+        .simulate(Pascal::from_kilopascals(5.2))
+        .unwrap();
         // BiCGSTAB iteration counts are not strictly monotone in the guess
         // quality, but a near-solution start must not be dramatically worse.
         assert!(warm.stats().iterations <= cold.stats().iterations + 5);
@@ -522,7 +465,7 @@ mod tests {
         power.add_block(7, 7, 9, 9, 5.0); // concentrated hotspot, downstream
         let s =
             Stack::interlayer(dims, 100e-6, vec![power], &[straight_net(dims)], 200e-6).unwrap();
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(5.0)).unwrap();
         let layer = &sol.source_layers()[0];
         let at_hotspot = layer.temperature(Cell::new(8, 8)).value();
@@ -572,18 +515,22 @@ mod tests {
             .unwrap()
         };
         let p = Pascal::from_kilopascals(5.0);
-        let plain = FourRm::new(&build(None), &ThermalConfig::default())
+        let plain = Simulator::new(&build(None), ModelChoice::FourRm, &ThermalConfig::default())
             .unwrap()
             .simulate(p)
             .unwrap()
             .max_temperature()
             .value();
-        let filled = FourRm::new(&build(Some(Material::copper())), &ThermalConfig::default())
-            .unwrap()
-            .simulate(p)
-            .unwrap()
-            .max_temperature()
-            .value();
+        let filled = Simulator::new(
+            &build(Some(Material::copper())),
+            ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap()
+        .simulate(p)
+        .unwrap()
+        .max_temperature()
+        .value();
         assert!(filled < plain, "copper fill must help: {filled} !< {plain}");
         // The effect is a perturbation, not a regime change.
         assert!(plain - filled < 0.2 * (plain - 300.0));
@@ -597,7 +544,7 @@ mod tests {
             advection: crate::config::AdvectionScheme::Upwind,
             ..ThermalConfig::default()
         };
-        let sim = FourRm::new(&s, &config).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &config).unwrap();
         let sol = sim.simulate(Pascal::from_kilopascals(5.0)).unwrap();
         // Upwind must never undershoot the inlet temperature at all.
         for &t in sol.all_temperatures() {

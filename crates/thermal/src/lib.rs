@@ -16,22 +16,25 @@
 //! boundaries). Local flow rates come from
 //! [`coolnet_flow::FlowModel`].
 //!
-//! Two discretizations share this physics:
+//! Two discretizations of this physics lead to one algebraic problem,
+//! `A(P_sys)·T = b`, and one [`Simulator`] assembles either, as
+//! [`ModelChoice`] says:
 //!
-//! * [`FourRm`] — one thermal cell per basic cell per layer, conforming to
-//!   the microchannel geometry; accurate but large;
-//! * [`TwoRm`] — `m × m` basic cells per thermal cell; the channel layer
-//!   keeps one solid and one liquid node per coarse cell, in-plane solid
-//!   conduction uses only *complete conducting paths* (Eq. (7)) and side
-//!   walls are folded into the vertical convection area (Eq. (8)).
+//! * [`ModelChoice::FourRm`] — one thermal cell per basic cell per layer,
+//!   conforming to the microchannel geometry; accurate but large;
+//! * [`ModelChoice::TwoRm`] — `m × m` basic cells per thermal cell; the
+//!   channel layer keeps one solid and one liquid node per coarse cell,
+//!   in-plane solid conduction uses only *complete conducting paths*
+//!   (Eq. (7)) and side walls are folded into the vertical convection
+//!   area (Eq. (8)).
 //!
 //! Both produce a [`ThermalSolution`] exposing the paper's three metrics:
 //! peak temperature `T_max`, thermal gradient `ΔT` (the maximum per-source-
 //! layer temperature range) and per-cell temperature maps. A
-//! backward-Euler [`transient`] extension is provided for both models.
+//! backward-Euler [`transient`] extension runs on either model.
 //!
 //! Because flow rates — and hence the advection operator — scale linearly
-//! in `P_sys`, each simulator assembles its conduction part once and
+//! in `P_sys`, the simulator assembles its conduction part once and
 //! re-scales the advection part per pressure probe, which is what makes
 //! the repeated simulation inside the design loop affordable.
 //!
@@ -40,7 +43,7 @@
 //! ```
 //! use coolnet_grid::{Cell, Dir, GridDims, Side};
 //! use coolnet_network::{CoolingNetwork, PortKind};
-//! use coolnet_thermal::{FourRm, PowerMap, Stack, ThermalConfig};
+//! use coolnet_thermal::{ModelChoice, PowerMap, Simulator, Stack, ThermalConfig};
 //! use coolnet_units::Pascal;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,7 +58,7 @@
 //!
 //! let power = PowerMap::uniform(dims, 5.0); // 5 W die
 //! let stack = Stack::interlayer(dims, 100e-6, vec![power], &[net], 200e-6)?;
-//! let sim = FourRm::new(&stack, &ThermalConfig::default())?;
+//! let sim = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())?;
 //! let sol = sim.simulate(Pascal::from_kilopascals(10.0))?;
 //! assert!(sol.max_temperature().value() > 300.0);
 //! # Ok(())
@@ -69,17 +72,17 @@ mod assembly;
 pub mod compare;
 pub mod config;
 pub mod error;
-pub mod fourrm;
+mod fourrm;
 pub mod power;
+pub mod simulator;
 pub mod solution;
 pub mod stack;
 pub mod transient;
-pub mod tworm;
+mod tworm;
 
 pub use config::{AdvectionScheme, ThermalConfig};
 pub use error::ThermalError;
-pub use fourrm::FourRm;
 pub use power::PowerMap;
+pub use simulator::{ModelChoice, Simulator};
 pub use solution::ThermalSolution;
 pub use stack::{Layer, LayerFlows, LayerKind, Stack};
-pub use tworm::TwoRm;

@@ -14,10 +14,8 @@
 use crate::assembly::{Assembled, SplitSystem};
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
-use crate::fourrm::FourRm;
 use crate::power::PowerMap;
 use crate::solution::{Resolution, ThermalSolution};
-use crate::tworm::TwoRm;
 use coolnet_sparse::precond::Ilu0;
 use coolnet_sparse::resilience::{self, Krylov};
 use coolnet_sparse::{SolveStats, SolverOptions};
@@ -62,46 +60,10 @@ pub struct Transient<'a> {
     last_stats: SolveStats,
 }
 
-impl FourRm {
-    /// Starts a transient run at pressure `p_sys` with time step `dt`
-    /// seconds, from a uniform `T_in` initial condition (or `initial`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure or
-    /// `dt <= 0`, and [`ThermalError::BadStack`] if a row of the assembled
-    /// system stores no diagonal entry.
-    pub fn transient(
-        &self,
-        p_sys: Pascal,
-        dt: f64,
-        initial: Option<&ThermalSolution>,
-    ) -> Result<Transient<'_>, ThermalError> {
-        Transient::new(self.assembled(), self.config().clone(), p_sys, dt, initial)
-    }
-}
-
-impl TwoRm {
-    /// Starts a transient run at pressure `p_sys` with time step `dt`
-    /// seconds, from a uniform `T_in` initial condition (or `initial`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure or
-    /// `dt <= 0`, and [`ThermalError::BadStack`] if a row of the assembled
-    /// system stores no diagonal entry.
-    pub fn transient(
-        &self,
-        p_sys: Pascal,
-        dt: f64,
-        initial: Option<&ThermalSolution>,
-    ) -> Result<Transient<'_>, ThermalError> {
-        Transient::new(self.assembled(), self.config().clone(), p_sys, dt, initial)
-    }
-}
-
 impl<'a> Transient<'a> {
-    fn new(
+    /// Builds the integrator over `assembled` (see
+    /// [`Simulator::transient`](crate::Simulator::transient)).
+    pub(crate) fn new(
         assembled: &'a Assembled,
         config: ThermalConfig,
         p_sys: Pascal,
@@ -382,6 +344,7 @@ fn extrapolate(history: &[&[f64]]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::power::PowerMap;
+    use crate::simulator::{ModelChoice, Simulator};
     use crate::stack::Stack;
     use coolnet_grid::{Cell, Dir, GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
@@ -410,7 +373,7 @@ mod tests {
     fn converges_to_steady_state() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 3.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let steady = sim.simulate(p).unwrap();
         let mut tr = sim.transient(p, 5e-3, None).unwrap();
@@ -427,7 +390,8 @@ mod tests {
     fn temperature_rises_monotonically_from_cold_start() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 3.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let sim =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let mut tr = sim
             .transient(Pascal::from_kilopascals(5.0), 1e-3, None)
             .unwrap();
@@ -446,7 +410,7 @@ mod tests {
     fn starting_from_steady_state_stays_there() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 2.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let steady = sim.simulate(p).unwrap();
         let mut tr = sim.transient(p, 1e-2, Some(&steady)).unwrap();
@@ -460,7 +424,8 @@ mod tests {
         // Halving the power mid-run must steer toward a halved rise.
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 4.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let sim =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let steady_full = sim.simulate(p).unwrap().max_temperature().value();
         let mut tr = sim.transient(p, 5e-3, None).unwrap();
@@ -483,7 +448,8 @@ mod tests {
     fn negative_power_scale_panics() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 1.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let sim =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let mut tr = sim
             .transient(Pascal::from_kilopascals(5.0), 1e-3, None)
             .unwrap();
@@ -494,7 +460,7 @@ mod tests {
     fn invalid_parameters_are_rejected() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 2.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         assert!(sim.transient(Pascal::new(0.0), 1e-3, None).is_err());
         assert!(sim
             .transient(Pascal::from_kilopascals(1.0), 0.0, None)
@@ -524,16 +490,16 @@ mod tests {
         );
         let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for s in [stack(dims, 3.0), two_die] {
-            let four = FourRm::new(&s, &config).unwrap();
-            let two = TwoRm::new(&s, 3, &config).unwrap();
+            let four = Simulator::new(&s, ModelChoice::FourRm, &config).unwrap();
+            let two = Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &config).unwrap();
             for (assembled, mut refreshed, mut fresh) in [
                 (
-                    four.assembled(),
+                    &four.assembled,
                     four.transient(p1, dt, None).unwrap(),
                     four.transient(p2, dt, None).unwrap(),
                 ),
                 (
-                    two.assembled(),
+                    &two.assembled,
                     two.transient(p1, dt, None).unwrap(),
                     two.transient(p2, dt, None).unwrap(),
                 ),
@@ -586,7 +552,7 @@ mod tests {
             tolerance: 1e-10,
             ..ThermalConfig::default()
         };
-        let sim = FourRm::new(&s, &config).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &config).unwrap();
         let (p1, p2, dt) = (
             Pascal::from_kilopascals(5.0),
             Pascal::from_kilopascals(2.0),
@@ -670,8 +636,8 @@ mod tests {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 2.0);
         let config = ThermalConfig::default();
-        let sim = FourRm::new(&s, &config).unwrap();
-        let mut assembled = sim.assembled().clone();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &config).unwrap();
+        let mut assembled = sim.assembled.clone();
         assembled.cond.retain(|&(r, c, _)| (r, c) != (0, 0));
         assembled.adv_unit.retain(|&(r, c, _)| (r, c) != (0, 0));
         let err = Transient::new(
@@ -694,7 +660,7 @@ mod tests {
         let s_hot = stack_with_map(dims, hotspot.clone());
         let p = Pascal::from_kilopascals(5.0);
         let cfg = ThermalConfig::default();
-        let steady_hot = TwoRm::new(&s_hot, 3, &cfg)
+        let steady_hot = Simulator::new(&s_hot, ModelChoice::TwoRm { m: 3 }, &cfg)
             .unwrap()
             .simulate(p)
             .unwrap()
@@ -704,7 +670,7 @@ mod tests {
         // Start on the uniform map, swap to the hotspot map mid-run: the
         // transient must converge to the hotspot steady state (same
         // operator, RHS-only change).
-        let sim = TwoRm::new(&s_uniform, 3, &cfg).unwrap();
+        let sim = Simulator::new(&s_uniform, ModelChoice::TwoRm { m: 3 }, &cfg).unwrap();
         let mut tr = sim.transient(p, 5e-3, None).unwrap();
         tr.run(100).unwrap();
         tr.set_power_map(0, &hotspot).unwrap();
@@ -720,7 +686,8 @@ mod tests {
     fn power_map_validation_rejects_bad_inputs() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 2.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let sim =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let mut tr = sim
             .transient(Pascal::from_kilopascals(5.0), 1e-3, None)
             .unwrap();
@@ -743,7 +710,7 @@ mod tests {
         // raising T_in by δ shifts the steady field by exactly δ.
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 3.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let steady = sim.simulate(p).unwrap();
         let base = steady.max_temperature().value();
@@ -764,7 +731,8 @@ mod tests {
     fn non_positive_inlet_temperature_panics() {
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 1.0);
-        let sim = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let sim =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let mut tr = sim
             .transient(Pascal::from_kilopascals(5.0), 1e-3, None)
             .unwrap();
@@ -778,7 +746,7 @@ mod tests {
         // much finer-step reference of the same scheme.
         let dims = GridDims::new(9, 9);
         let s = stack(dims, 3.0);
-        let sim = FourRm::new(&s, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let horizon = 0.02;
         let t_max_at = |steps: usize| {

@@ -1,4 +1,5 @@
-//! The porous-medium 2-register-model (2RM) thermal simulator (§2.3).
+//! Assembly of the porous-medium 2-register model (2RM, §2.3) behind
+//! [`ModelChoice::TwoRm`](crate::ModelChoice::TwoRm).
 //!
 //! Thermal cells are `m × m` blocks of basic cells. In the channel layer
 //! each coarse cell holds up to two nodes — one for the channel walls
@@ -20,11 +21,10 @@
 use crate::assembly::{series, Assembled, ProbeCacheCell, SourceLayerMeta};
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
-use crate::solution::{Resolution, ThermalSolution};
+use crate::solution::Resolution;
 use crate::stack::{LayerFlows, LayerKind, Stack};
 use coolnet_grid::{Cell, Coarsening, Dir};
 use coolnet_units::nusselt::WallCondition;
-use coolnet_units::Pascal;
 
 /// Node ids of one layer in the 2RM discretization.
 #[derive(Debug, Clone)]
@@ -51,436 +51,332 @@ struct ChannelCellStats {
     conv_top_sum: f64,
 }
 
-/// The assembled 2RM simulator for one [`Stack`] at a fixed coarsening.
-#[derive(Debug, Clone)]
-pub struct TwoRm {
-    assembled: Assembled,
-    config: ThermalConfig,
-    coarsening: Coarsening,
-    flows: LayerFlows,
-}
+/// Assembles the 2RM system for `stack` with `m × m` basic cells per
+/// thermal cell, with the hydraulic model of each channel layer the
+/// advection is built from.
+///
+/// # Errors
+///
+/// Returns [`ThermalError::Flow`] if a channel layer's hydraulic model
+/// cannot be built, or [`ThermalError::BadStack`] for `m == 0`.
+pub(crate) fn assemble(
+    stack: &Stack,
+    m: u16,
+    config: &ThermalConfig,
+) -> Result<(Assembled, LayerFlows), ThermalError> {
+    if m == 0 {
+        return Err(ThermalError::BadStack {
+            reason: "coarsening factor must be nonzero".into(),
+        });
+    }
+    let dims = stack.dims();
+    let pitch = stack.pitch();
+    let coarsening = Coarsening::new(dims, m);
+    let ncc = coarsening.num_coarse_cells();
+    let cw = coarsening.coarse_width() as usize;
+    let layers = stack.layers();
 
-impl TwoRm {
-    /// Assembles the 2RM system with `m × m` basic cells per thermal cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Flow`] if a channel layer's hydraulic model
-    /// cannot be built, or [`ThermalError::BadStack`] for `m == 0`.
-    pub fn new(stack: &Stack, m: u16, config: &ThermalConfig) -> Result<Self, ThermalError> {
-        if m == 0 {
-            return Err(ThermalError::BadStack {
-                reason: "coarsening factor must be nonzero".into(),
-            });
-        }
-        let dims = stack.dims();
-        let pitch = stack.pitch();
-        let coarsening = Coarsening::new(dims, m);
-        let ncc = coarsening.num_coarse_cells();
-        let cw = coarsening.coarse_width() as usize;
-        let layers = stack.layers();
-
-        // --- Node allocation -------------------------------------------------
-        let mut next = 0usize;
-        let mut nodes: Vec<LayerNodes> = Vec::with_capacity(layers.len());
-        let mut stats: Vec<Vec<ChannelCellStats>> = Vec::with_capacity(layers.len());
-        for layer in layers {
-            match &layer.kind {
-                LayerKind::Solid { .. } | LayerKind::Source { .. } => {
-                    nodes.push(LayerNodes::Bulk((next..next + ncc).collect()));
-                    next += ncc;
-                    stats.push(Vec::new());
-                }
-                LayerKind::Channel {
-                    network,
-                    flow,
-                    widths,
-                    ..
-                } => {
-                    let mut st = vec![ChannelCellStats::default(); ncc];
-                    for (cx, cy) in coarsening.iter() {
-                        let cc = cy as usize * cw + cx as usize;
-                        for cell in coarsening.extent(cx, cy).iter() {
-                            if network.is_liquid(cell) {
-                                st[cc].liquid_count += 1;
-                                let w = widths
-                                    .as_ref()
-                                    .map_or(flow.geometry.width(), |m| m.get(cell));
-                                let h = coolnet_units::ChannelGeometry::new(
-                                    w,
-                                    flow.geometry.height(),
-                                    flow.geometry.pitch(),
-                                )
-                                .convection_coefficient(
-                                    &flow.coolant,
-                                    WallCondition::ConstantHeatFlux,
-                                );
-                                st[cc].width_sum += w;
-                                st[cc].conv_top_sum += h * w * pitch;
-                                for d in Dir::ALL {
-                                    if let Some(nb) = dims.neighbor(cell, d) {
-                                        if !network.is_liquid(nb) {
-                                            st[cc].side_faces += 1;
-                                        }
+    // --- Node allocation -------------------------------------------------
+    let mut next = 0usize;
+    let mut nodes: Vec<LayerNodes> = Vec::with_capacity(layers.len());
+    let mut stats: Vec<Vec<ChannelCellStats>> = Vec::with_capacity(layers.len());
+    for layer in layers {
+        match &layer.kind {
+            LayerKind::Solid { .. } | LayerKind::Source { .. } => {
+                nodes.push(LayerNodes::Bulk((next..next + ncc).collect()));
+                next += ncc;
+                stats.push(Vec::new());
+            }
+            LayerKind::Channel {
+                network,
+                flow,
+                widths,
+                ..
+            } => {
+                let mut st = vec![ChannelCellStats::default(); ncc];
+                for (cx, cy) in coarsening.iter() {
+                    let cc = cy as usize * cw + cx as usize;
+                    for cell in coarsening.extent(cx, cy).iter() {
+                        if network.is_liquid(cell) {
+                            st[cc].liquid_count += 1;
+                            let w = widths
+                                .as_ref()
+                                .map_or(flow.geometry.width(), |m| m.get(cell));
+                            let h = coolnet_units::ChannelGeometry::new(
+                                w,
+                                flow.geometry.height(),
+                                flow.geometry.pitch(),
+                            )
+                            .convection_coefficient(&flow.coolant, WallCondition::ConstantHeatFlux);
+                            st[cc].width_sum += w;
+                            st[cc].conv_top_sum += h * w * pitch;
+                            for d in Dir::ALL {
+                                if let Some(nb) = dims.neighbor(cell, d) {
+                                    if !network.is_liquid(nb) {
+                                        st[cc].side_faces += 1;
                                     }
                                 }
-                            } else {
-                                st[cc].solid_count += 1;
                             }
+                        } else {
+                            st[cc].solid_count += 1;
                         }
                     }
-                    let mut solid = vec![None; ncc];
-                    let mut liquid = vec![None; ncc];
-                    for cc in 0..ncc {
-                        if st[cc].solid_count > 0 {
-                            solid[cc] = Some(next);
-                            next += 1;
-                        }
-                        if st[cc].liquid_count > 0 {
-                            liquid[cc] = Some(next);
-                            next += 1;
-                        }
+                }
+                let mut solid = vec![None; ncc];
+                let mut liquid = vec![None; ncc];
+                for cc in 0..ncc {
+                    if st[cc].solid_count > 0 {
+                        solid[cc] = Some(next);
+                        next += 1;
                     }
-                    nodes.push(LayerNodes::Channel { solid, liquid });
-                    stats.push(st);
+                    if st[cc].liquid_count > 0 {
+                        liquid[cc] = Some(next);
+                        next += 1;
+                    }
+                }
+                nodes.push(LayerNodes::Channel { solid, liquid });
+                stats.push(st);
+            }
+        }
+    }
+    let n = next;
+
+    let mut asm = Assembled {
+        n,
+        cond: Vec::with_capacity(7 * n),
+        adv_unit: Vec::new(),
+        rhs_source: vec![0.0; n],
+        rhs_inlet_unit: vec![0.0; n],
+        capacitance: vec![0.0; n],
+        source_meta: Vec::new(),
+        cache: ProbeCacheCell::default(),
+    };
+
+    // --- Sources and capacitances ----------------------------------------
+    for (l, layer) in layers.iter().enumerate() {
+        let t = layer.thickness;
+        match (&layer.kind, &nodes[l]) {
+            (LayerKind::Solid { material }, LayerNodes::Bulk(ids)) => {
+                for (cx, cy) in coarsening.iter() {
+                    let cc = cy as usize * cw + cx as usize;
+                    let vol = coarsening.extent(cx, cy).num_cells() as f64 * pitch * pitch * t;
+                    asm.capacitance[ids[cc]] = material.volumetric_heat_capacity() * vol;
+                }
+            }
+            (LayerKind::Source { material, power }, LayerNodes::Bulk(ids)) => {
+                for (cx, cy) in coarsening.iter() {
+                    let cc = cy as usize * cw + cx as usize;
+                    let e = coarsening.extent(cx, cy);
+                    let vol = e.num_cells() as f64 * pitch * pitch * t;
+                    asm.capacitance[ids[cc]] = material.volumetric_heat_capacity() * vol;
+                    asm.rhs_source[ids[cc]] += power.block_total(e.x0, e.y0, e.x1, e.y1);
+                }
+                asm.source_meta.push(SourceLayerMeta {
+                    layer_index: l,
+                    dims,
+                    resolution: Resolution::Coarse(coarsening),
+                    nodes: ids.clone(),
+                });
+            }
+            (LayerKind::Channel { flow, material, .. }, LayerNodes::Channel { solid, liquid }) => {
+                for cc in 0..ncc {
+                    if let Some(id) = solid[cc] {
+                        let vol = stats[l][cc].solid_count as f64 * pitch * pitch * t;
+                        asm.capacitance[id] = material.volumetric_heat_capacity() * vol;
+                    }
+                    if let Some(id) = liquid[cc] {
+                        let vol = stats[l][cc].width_sum * pitch * t;
+                        asm.capacitance[id] = flow.coolant.volumetric_heat_capacity() * vol;
+                    }
+                }
+            }
+            _ => {
+                return Err(ThermalError::BadStack {
+                    reason: format!("layer {l}: node bank kind does not match layer kind"),
+                })
+            }
+        }
+    }
+
+    // --- In-plane conduction ----------------------------------------------
+    for (l, layer) in layers.iter().enumerate() {
+        let t = layer.thickness;
+        let k = layer.solid_conductivity();
+        for (cx, cy) in coarsening.iter() {
+            let cc = cy as usize * cw + cx as usize;
+            // East and north coarse neighbors.
+            for (dx, dy) in [(1u16, 0u16), (0, 1)] {
+                let (nx, ny) = (cx + dx, cy + dy);
+                if nx >= coarsening.coarse_width() || ny >= coarsening.coarse_height() {
+                    continue;
+                }
+                let nc = ny as usize * cw + nx as usize;
+                let horizontal = dx == 1;
+                match &nodes[l] {
+                    LayerNodes::Bulk(ids) => {
+                        let g =
+                            bulk_inplane_g(&coarsening, cx, cy, nx, ny, horizontal, k, t, pitch);
+                        asm.add_conductance(ids[cc], ids[nc], g);
+                    }
+                    LayerNodes::Channel { solid, .. } => {
+                        let (Some(a), Some(b)) = (solid[cc], solid[nc]) else {
+                            continue;
+                        };
+                        let LayerKind::Channel { network, .. } = &layer.kind else {
+                            return Err(ThermalError::BadStack {
+                                reason: format!(
+                                    "layer {l}: channel node bank on a non-channel layer"
+                                ),
+                            });
+                        };
+                        let g = channel_inplane_g(
+                            &coarsening,
+                            cx,
+                            cy,
+                            nx,
+                            ny,
+                            horizontal,
+                            k,
+                            t,
+                            pitch,
+                            |cell| !network.is_liquid(cell),
+                        );
+                        asm.add_conductance(a, b, g);
+                    }
                 }
             }
         }
-        let n = next;
+    }
 
-        let mut asm = Assembled {
-            n,
-            cond: Vec::with_capacity(7 * n),
-            adv_unit: Vec::new(),
-            rhs_source: vec![0.0; n],
-            rhs_inlet_unit: vec![0.0; n],
-            capacitance: vec![0.0; n],
-            source_meta: Vec::new(),
-            cache: ProbeCacheCell::default(),
-        };
-
-        // --- Sources and capacitances ----------------------------------------
-        for (l, layer) in layers.iter().enumerate() {
-            let t = layer.thickness;
-            match (&layer.kind, &nodes[l]) {
-                (LayerKind::Solid { material }, LayerNodes::Bulk(ids)) => {
-                    for (cx, cy) in coarsening.iter() {
-                        let cc = cy as usize * cw + cx as usize;
-                        let vol = coarsening.extent(cx, cy).num_cells() as f64 * pitch * pitch * t;
-                        asm.capacitance[ids[cc]] = material.volumetric_heat_capacity() * vol;
-                    }
+    // --- Vertical conduction ----------------------------------------------
+    for l in 0..layers.len().saturating_sub(1) {
+        let u = l + 1;
+        let (t_l, t_u) = (layers[l].thickness, layers[u].thickness);
+        let (k_l, k_u) = (
+            layers[l].solid_conductivity(),
+            layers[u].solid_conductivity(),
+        );
+        for (cx, cy) in coarsening.iter() {
+            let cc = cy as usize * cw + cx as usize;
+            let e = coarsening.extent(cx, cy);
+            let a_cell = pitch * pitch;
+            match (&nodes[l], &nodes[u]) {
+                (LayerNodes::Bulk(lo), LayerNodes::Bulk(up)) => {
+                    let a = e.num_cells() as f64 * a_cell;
+                    let g = series(k_l * a / (t_l / 2.0), k_u * a / (t_u / 2.0));
+                    asm.add_conductance(lo[cc], up[cc], g);
                 }
-                (LayerKind::Source { material, power }, LayerNodes::Bulk(ids)) => {
-                    for (cx, cy) in coarsening.iter() {
-                        let cc = cy as usize * cw + cx as usize;
-                        let e = coarsening.extent(cx, cy);
-                        let vol = e.num_cells() as f64 * pitch * pitch * t;
-                        asm.capacitance[ids[cc]] = material.volumetric_heat_capacity() * vol;
-                        asm.rhs_source[ids[cc]] += power.block_total(e.x0, e.y0, e.x1, e.y1);
-                    }
-                    asm.source_meta.push(SourceLayerMeta {
-                        layer_index: l,
-                        dims,
-                        resolution: Resolution::Coarse(coarsening),
-                        nodes: ids.clone(),
-                    });
+                (LayerNodes::Channel { solid, liquid }, LayerNodes::Bulk(up)) => {
+                    channel_vertical(
+                        &mut asm,
+                        layers,
+                        l,
+                        &stats[l][cc],
+                        solid[cc],
+                        liquid[cc],
+                        up[cc],
+                        k_u,
+                        t_u,
+                        pitch,
+                        config,
+                    );
+                }
+                (LayerNodes::Bulk(lo), LayerNodes::Channel { solid, liquid }) => {
+                    channel_vertical(
+                        &mut asm,
+                        layers,
+                        u,
+                        &stats[u][cc],
+                        solid[cc],
+                        liquid[cc],
+                        lo[cc],
+                        k_l,
+                        t_l,
+                        pitch,
+                        config,
+                    );
                 }
                 (
-                    LayerKind::Channel { flow, material, .. },
-                    LayerNodes::Channel { solid, liquid },
+                    LayerNodes::Channel { solid: s_lo, .. },
+                    LayerNodes::Channel { solid: s_up, .. },
                 ) => {
-                    for cc in 0..ncc {
-                        if let Some(id) = solid[cc] {
-                            let vol = stats[l][cc].solid_count as f64 * pitch * pitch * t;
-                            asm.capacitance[id] = material.volumetric_heat_capacity() * vol;
-                        }
-                        if let Some(id) = liquid[cc] {
-                            let vol = stats[l][cc].width_sum * pitch * t;
-                            asm.capacitance[id] = flow.coolant.volumetric_heat_capacity() * vol;
-                        }
-                    }
-                }
-                _ => {
-                    return Err(ThermalError::BadStack {
-                        reason: format!("layer {l}: node bank kind does not match layer kind"),
-                    })
-                }
-            }
-        }
-
-        // --- In-plane conduction ----------------------------------------------
-        for (l, layer) in layers.iter().enumerate() {
-            let t = layer.thickness;
-            let k = layer.solid_conductivity();
-            for (cx, cy) in coarsening.iter() {
-                let cc = cy as usize * cw + cx as usize;
-                // East and north coarse neighbors.
-                for (dx, dy) in [(1u16, 0u16), (0, 1)] {
-                    let (nx, ny) = (cx + dx, cy + dy);
-                    if nx >= coarsening.coarse_width() || ny >= coarsening.coarse_height() {
-                        continue;
-                    }
-                    let nc = ny as usize * cw + nx as usize;
-                    let horizontal = dx == 1;
-                    match &nodes[l] {
-                        LayerNodes::Bulk(ids) => {
-                            let g = bulk_inplane_g(
-                                &coarsening,
-                                cx,
-                                cy,
-                                nx,
-                                ny,
-                                horizontal,
-                                k,
-                                t,
-                                pitch,
-                            );
-                            asm.add_conductance(ids[cc], ids[nc], g);
-                        }
-                        LayerNodes::Channel { solid, .. } => {
-                            let (Some(a), Some(b)) = (solid[cc], solid[nc]) else {
-                                continue;
-                            };
-                            let LayerKind::Channel { network, .. } = &layer.kind else {
-                                return Err(ThermalError::BadStack {
-                                    reason: format!(
-                                        "layer {l}: channel node bank on a non-channel layer"
-                                    ),
-                                });
-                            };
-                            let g = channel_inplane_g(
-                                &coarsening,
-                                cx,
-                                cy,
-                                nx,
-                                ny,
-                                horizontal,
-                                k,
-                                t,
-                                pitch,
-                                |cell| !network.is_liquid(cell),
-                            );
-                            asm.add_conductance(a, b, g);
-                        }
+                    // Stacked channel layers: conduct through the solid
+                    // fraction only; liquid banks do not couple.
+                    if let (Some(a), Some(b)) = (s_lo[cc], s_up[cc]) {
+                        let frac = stats[l][cc].solid_count.min(stats[u][cc].solid_count) as f64;
+                        let a_v = frac * a_cell;
+                        let g = series(k_l * a_v / (t_l / 2.0), k_u * a_v / (t_u / 2.0));
+                        asm.add_conductance(a, b, g);
                     }
                 }
             }
         }
+    }
 
-        // --- Vertical conduction ----------------------------------------------
-        for l in 0..layers.len().saturating_sub(1) {
-            let u = l + 1;
-            let (t_l, t_u) = (layers[l].thickness, layers[u].thickness);
-            let (k_l, k_u) = (
-                layers[l].solid_conductivity(),
-                layers[u].solid_conductivity(),
-            );
-            for (cx, cy) in coarsening.iter() {
-                let cc = cy as usize * cw + cx as usize;
-                let e = coarsening.extent(cx, cy);
-                let a_cell = pitch * pitch;
-                match (&nodes[l], &nodes[u]) {
-                    (LayerNodes::Bulk(lo), LayerNodes::Bulk(up)) => {
-                        let a = e.num_cells() as f64 * a_cell;
-                        let g = series(k_l * a / (t_l / 2.0), k_u * a / (t_u / 2.0));
-                        asm.add_conductance(lo[cc], up[cc], g);
-                    }
-                    (LayerNodes::Channel { solid, liquid }, LayerNodes::Bulk(up)) => {
-                        channel_vertical(
-                            &mut asm,
-                            layers,
-                            l,
-                            &stats[l][cc],
-                            solid[cc],
-                            liquid[cc],
-                            up[cc],
-                            k_u,
-                            t_u,
-                            pitch,
-                            config,
-                        );
-                    }
-                    (LayerNodes::Bulk(lo), LayerNodes::Channel { solid, liquid }) => {
-                        channel_vertical(
-                            &mut asm,
-                            layers,
-                            u,
-                            &stats[u][cc],
-                            solid[cc],
-                            liquid[cc],
-                            lo[cc],
-                            k_l,
-                            t_l,
-                            pitch,
-                            config,
-                        );
-                    }
-                    (
-                        LayerNodes::Channel { solid: s_lo, .. },
-                        LayerNodes::Channel { solid: s_up, .. },
-                    ) => {
-                        // Stacked channel layers: conduct through the solid
-                        // fraction only; liquid banks do not couple.
-                        if let (Some(a), Some(b)) = (s_lo[cc], s_up[cc]) {
-                            let frac =
-                                stats[l][cc].solid_count.min(stats[u][cc].solid_count) as f64;
-                            let a_v = frac * a_cell;
-                            let g = series(k_l * a_v / (t_l / 2.0), k_u * a_v / (t_u / 2.0));
-                            asm.add_conductance(a, b, g);
-                        }
-                    }
+    // --- Advection (net coarse-cell flows from the fine solution) ---------
+    let flows = LayerFlows::new(stack)?;
+    for (l, model) in flows.iter() {
+        let LayerNodes::Channel { liquid, .. } = &nodes[l] else {
+            return Err(ThermalError::BadStack {
+                reason: format!("layer {l}: channel layer lost its liquid node bank"),
+            });
+        };
+        let cv = model.config().coolant.volumetric_heat_capacity();
+        let p = model.unit_pressures();
+
+        // Net flows between coarse cells and port flows per coarse cell.
+        let mut net_flow_e = vec![0.0f64; ncc]; // cc -> east neighbor
+        let mut net_flow_n = vec![0.0f64; ncc]; // cc -> north neighbor
+        let mut q_in = vec![0.0f64; ncc];
+        let mut q_out = vec![0.0f64; ncc];
+        for (i, &cell) in model.cells().iter().enumerate() {
+            let cc = coarsening.coarse_index_of(cell);
+            for dir in [Dir::East, Dir::North] {
+                let Some(nb) = dims.neighbor(cell, dir) else {
+                    continue;
+                };
+                let Some(j) = model.index_of(nb) else {
+                    continue;
+                };
+                let nbc = coarsening.coarse_index_of(nb);
+                if nbc == cc {
+                    continue;
+                }
+                let q = model.link_conductance(i, j) * (p[i] - p[j]);
+                if dir == Dir::East {
+                    net_flow_e[cc] += q;
+                } else {
+                    net_flow_n[cc] += q;
                 }
             }
+            let (g_in, g_out) = model.port_conductance_of(i);
+            q_in[cc] += g_in * (1.0 - p[i]);
+            q_out[cc] += g_out * p[i];
         }
-
-        // --- Advection (net coarse-cell flows from the fine solution) ---------
-        let flows = LayerFlows::new(stack)?;
-        for (l, model) in flows.iter() {
-            let LayerNodes::Channel { liquid, .. } = &nodes[l] else {
-                return Err(ThermalError::BadStack {
-                    reason: format!("layer {l}: channel layer lost its liquid node bank"),
-                });
-            };
-            let cv = model.config().coolant.volumetric_heat_capacity();
-            let p = model.unit_pressures();
-
-            // Net flows between coarse cells and port flows per coarse cell.
-            let mut net_flow_e = vec![0.0f64; ncc]; // cc -> east neighbor
-            let mut net_flow_n = vec![0.0f64; ncc]; // cc -> north neighbor
-            let mut q_in = vec![0.0f64; ncc];
-            let mut q_out = vec![0.0f64; ncc];
-            for (i, &cell) in model.cells().iter().enumerate() {
-                let cc = coarsening.coarse_index_of(cell);
-                for dir in [Dir::East, Dir::North] {
-                    let Some(nb) = dims.neighbor(cell, dir) else {
-                        continue;
-                    };
-                    let Some(j) = model.index_of(nb) else {
-                        continue;
-                    };
-                    let nbc = coarsening.coarse_index_of(nb);
-                    if nbc == cc {
-                        continue;
-                    }
-                    let q = model.link_conductance(i, j) * (p[i] - p[j]);
-                    if dir == Dir::East {
-                        net_flow_e[cc] += q;
-                    } else {
-                        net_flow_n[cc] += q;
+        for (cx, cy) in coarsening.iter() {
+            let cc = cy as usize * cw + cx as usize;
+            let Some(a) = liquid[cc] else { continue };
+            if cx + 1 < coarsening.coarse_width() {
+                let nc = cy as usize * cw + cx as usize + 1;
+                if let Some(b) = liquid[nc] {
+                    if net_flow_e[cc] != 0.0 {
+                        asm.add_advection_face(a, b, net_flow_e[cc], cv, config.advection);
                     }
                 }
-                let (g_in, g_out) = model.port_conductance_of(i);
-                q_in[cc] += g_in * (1.0 - p[i]);
-                q_out[cc] += g_out * p[i];
             }
-            for (cx, cy) in coarsening.iter() {
-                let cc = cy as usize * cw + cx as usize;
-                let Some(a) = liquid[cc] else { continue };
-                if cx + 1 < coarsening.coarse_width() {
-                    let nc = cy as usize * cw + cx as usize + 1;
-                    if let Some(b) = liquid[nc] {
-                        if net_flow_e[cc] != 0.0 {
-                            asm.add_advection_face(a, b, net_flow_e[cc], cv, config.advection);
-                        }
+            if cy + 1 < coarsening.coarse_height() {
+                let nc = (cy as usize + 1) * cw + cx as usize;
+                if let Some(b) = liquid[nc] {
+                    if net_flow_n[cc] != 0.0 {
+                        asm.add_advection_face(a, b, net_flow_n[cc], cv, config.advection);
                     }
                 }
-                if cy + 1 < coarsening.coarse_height() {
-                    let nc = (cy as usize + 1) * cw + cx as usize;
-                    if let Some(b) = liquid[nc] {
-                        if net_flow_n[cc] != 0.0 {
-                            asm.add_advection_face(a, b, net_flow_n[cc], cv, config.advection);
-                        }
-                    }
-                }
-                asm.add_port_advection(a, q_in[cc], q_out[cc], cv);
             }
+            asm.add_port_advection(a, q_in[cc], q_out[cc], cv);
         }
-
-        Ok(Self {
-            assembled: asm,
-            config: config.clone(),
-            coarsening,
-            flows,
-        })
     }
 
-    /// The hydraulic model of each channel layer the advection was
-    /// assembled from.
-    pub fn layer_flows(&self) -> &LayerFlows {
-        &self.flows
-    }
-
-    /// Number of thermal nodes (≈ `layers × cells / m²`).
-    pub fn num_nodes(&self) -> usize {
-        self.assembled.n
-    }
-
-    /// The coarsening this simulator was built with.
-    pub fn coarsening(&self) -> Coarsening {
-        self.coarsening
-    }
-
-    /// Forgets the probe cache's warm-start solution history, so the next
-    /// probe behaves exactly like the first probe of a freshly built
-    /// simulator. Evaluator-reuse layers call this between logically
-    /// independent evaluation sequences to keep results bitwise-identical
-    /// to rebuilding the simulator.
-    pub fn reset_probe_history(&self) {
-        self.assembled.reset_probe_history();
-    }
-
-    /// Steady-state simulation at system pressure drop `p_sys`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::ZeroFlow`] for non-positive pressure and
-    /// [`ThermalError::Solver`] if the linear solve fails.
-    pub fn simulate(&self, p_sys: Pascal) -> Result<ThermalSolution, ThermalError> {
-        self.assembled.steady(p_sys, &self.config, None)
-    }
-
-    /// Steady-state simulation at `p_sys` rebuilt from scratch: full
-    /// matrix assembly and a fresh ILU(0) factorization, started from
-    /// `guess` (or a uniform `T_in` field), with the probe cache neither
-    /// read nor written. This is the reference the probe cache behind
-    /// [`simulate`](Self::simulate) is checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`simulate`](Self::simulate).
-    pub fn simulate_reference(
-        &self,
-        p_sys: Pascal,
-        guess: Option<&ThermalSolution>,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.assembled.steady_reference(
-            p_sys,
-            &self.config,
-            guess.map(ThermalSolution::all_temperatures),
-        )
-    }
-
-    /// Warm-started variant of [`simulate`](Self::simulate).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`simulate`](Self::simulate).
-    pub fn simulate_with_guess(
-        &self,
-        p_sys: Pascal,
-        guess: &ThermalSolution,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.assembled
-            .steady(p_sys, &self.config, Some(guess.all_temperatures()))
-    }
-
-    pub(crate) fn assembled(&self) -> &Assembled {
-        &self.assembled
-    }
-
-    pub(crate) fn config(&self) -> &ThermalConfig {
-        &self.config
-    }
+    Ok((asm, flows))
 }
 
 /// In-plane conductance between two bulk coarse nodes.
@@ -612,11 +508,12 @@ fn channel_vertical(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fourrm::FourRm;
     use crate::power::PowerMap;
+    use crate::simulator::{ModelChoice, Simulator};
     use coolnet_flow::FlowModel;
     use coolnet_grid::{GridDims, Side};
     use coolnet_network::{CoolingNetwork, PortKind};
+    use coolnet_units::Pascal;
 
     fn straight_net(dims: GridDims) -> CoolingNetwork {
         let mut b = CoolingNetwork::builder(dims);
@@ -699,8 +596,10 @@ mod tests {
     fn problem_size_shrinks_quadratically() {
         let dims = GridDims::new(21, 21);
         let s = stack(dims, 2.0);
-        let m1 = TwoRm::new(&s, 1, &ThermalConfig::default()).unwrap();
-        let m3 = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let m1 =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 1 }, &ThermalConfig::default()).unwrap();
+        let m3 =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         // m=3 should be close to 9x smaller.
         let ratio = m1.num_nodes() as f64 / m3.num_nodes() as f64;
         assert!(ratio > 6.0, "ratio = {ratio}");
@@ -713,11 +612,11 @@ mod tests {
         let dims = GridDims::new(11, 11);
         let s = stack(dims, 2.0);
         let p = Pascal::from_kilopascals(5.0);
-        let t4 = FourRm::new(&s, &ThermalConfig::default())
+        let t4 = Simulator::new(&s, ModelChoice::FourRm, &ThermalConfig::default())
             .unwrap()
             .simulate(p)
             .unwrap();
-        let t2 = TwoRm::new(&s, 1, &ThermalConfig::default())
+        let t2 = Simulator::new(&s, ModelChoice::TwoRm { m: 1 }, &ThermalConfig::default())
             .unwrap()
             .simulate(p)
             .unwrap();
@@ -735,7 +634,7 @@ mod tests {
         let s = stack(dims, 4.0);
         let p = Pascal::from_kilopascals(5.0);
         for m in [1u16, 2, 3, 4, 7] {
-            let sol = TwoRm::new(&s, m, &ThermalConfig::default())
+            let sol = Simulator::new(&s, ModelChoice::TwoRm { m }, &ThermalConfig::default())
                 .unwrap()
                 .simulate(p)
                 .unwrap();
@@ -754,7 +653,8 @@ mod tests {
         let watts = 4.0;
         let s = stack(dims, watts);
         let p = Pascal::from_kilopascals(5.0);
-        let two = TwoRm::new(&s, 3, &ThermalConfig::default()).unwrap();
+        let two =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default()).unwrap();
         let sol = two.simulate(p).unwrap();
         // Mixed outlet temperature from coarse liquid nodes: recompute via
         // the same stats the model used. Instead of re-deriving, check the
@@ -788,7 +688,7 @@ mod tests {
     fn downstream_hotter_at_coarse_resolution() {
         let dims = GridDims::new(21, 21);
         let s = stack(dims, 4.0);
-        let sol = TwoRm::new(&s, 3, &ThermalConfig::default())
+        let sol = Simulator::new(&s, ModelChoice::TwoRm { m: 3 }, &ThermalConfig::default())
             .unwrap()
             .simulate(Pascal::from_kilopascals(3.0))
             .unwrap();
@@ -804,7 +704,7 @@ mod tests {
         let dims = GridDims::new(11, 11);
         let s = stack(dims, 1.0);
         assert!(matches!(
-            TwoRm::new(&s, 0, &ThermalConfig::default()),
+            Simulator::new(&s, ModelChoice::TwoRm { m: 0 }, &ThermalConfig::default()),
             Err(ThermalError::BadStack { .. })
         ));
     }
@@ -813,7 +713,8 @@ mod tests {
     fn source_layers_report_coarse_resolution() {
         let dims = GridDims::new(11, 11);
         let s = stack(dims, 1.0);
-        let two = TwoRm::new(&s, 4, &ThermalConfig::default()).unwrap();
+        let two =
+            Simulator::new(&s, ModelChoice::TwoRm { m: 4 }, &ThermalConfig::default()).unwrap();
         let sol = two.simulate(Pascal::from_kilopascals(5.0)).unwrap();
         match sol.source_layers()[0].resolution() {
             Resolution::Coarse(c) => assert_eq!(c.factor(), 4),

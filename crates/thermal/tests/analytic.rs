@@ -4,7 +4,7 @@
 use coolnet_flow::{FlowConfig, FlowModel};
 use coolnet_grid::{Cell, Dir, GridDims, Side};
 use coolnet_network::{CoolingNetwork, PortKind};
-use coolnet_thermal::{FourRm, PowerMap, Stack, ThermalConfig};
+use coolnet_thermal::{ModelChoice, PowerMap, Simulator, Stack, ThermalConfig};
 use coolnet_units::nusselt::WallCondition;
 use coolnet_units::Pascal;
 
@@ -32,7 +32,7 @@ fn single_channel_coolant_follows_enthalpy_balance() {
     )
     .unwrap();
     let config = ThermalConfig::default();
-    let sim = FourRm::new(&stack, &config).unwrap();
+    let sim = Simulator::new(&stack, ModelChoice::FourRm, &config).unwrap();
     let p_sys = Pascal::from_kilopascals(20.0);
     let sol = sim.simulate(p_sys).unwrap();
 
@@ -76,7 +76,7 @@ fn source_sits_one_thermal_resistance_above_coolant() {
     let power = PowerMap::uniform(dims, total_power);
     let stack = Stack::interlayer(dims, 100e-6, vec![power], &[net], 200e-6).unwrap();
     let config = ThermalConfig::default();
-    let sim = FourRm::new(&stack, &config).unwrap();
+    let sim = Simulator::new(&stack, ModelChoice::FourRm, &config).unwrap();
     let sol = sim.simulate(Pascal::from_kilopascals(20.0)).unwrap();
 
     let nc = dims.num_cells();
@@ -127,7 +127,7 @@ fn symmetric_system_produces_symmetric_temperatures() {
     let net = b.build().unwrap();
     let power = PowerMap::uniform(dims, 1.0);
     let stack = Stack::interlayer(dims, 100e-6, vec![power], &[net], 200e-6).unwrap();
-    let sol = FourRm::new(&stack, &ThermalConfig::default())
+    let sol = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())
         .unwrap()
         .simulate(Pascal::from_kilopascals(10.0))
         .unwrap();

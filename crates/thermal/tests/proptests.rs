@@ -4,7 +4,7 @@
 use coolnet_flow::FlowModel;
 use coolnet_grid::{Cell, Dir, GridDims, Side};
 use coolnet_network::{CoolingNetwork, PortKind};
-use coolnet_thermal::{FourRm, LayerKind, PowerMap, Stack, ThermalConfig, TwoRm};
+use coolnet_thermal::{LayerKind, ModelChoice, PowerMap, Simulator, Stack, ThermalConfig};
 use coolnet_units::Pascal;
 use proptest::prelude::*;
 
@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn all_die_power_leaves_as_coolant_enthalpy((stack, net) in system(), kpa in 2.0f64..30.0) {
         let config = ThermalConfig::default();
-        let sim = FourRm::new(&stack, &config).unwrap();
+        let sim = Simulator::new(&stack, ModelChoice::FourRm, &config).unwrap();
         let p_sys = Pascal::from_kilopascals(kpa);
         let sol = sim.simulate(p_sys).unwrap();
 
@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn peak_temperature_is_monotone_in_pressure((stack, _net) in system()) {
         // §4.1: h(P_sys) decreases monotonically.
-        let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(&stack, ModelChoice::TwoRm { m: 2 }, &ThermalConfig::default()).unwrap();
         let mut last = f64::INFINITY;
         for kpa in [1.0, 3.0, 9.0, 27.0] {
             let t = sim
@@ -95,7 +95,7 @@ proptest! {
 
     #[test]
     fn temperatures_bounded_below_by_inlet((stack, _net) in system(), kpa in 1.0f64..40.0) {
-        let sol = TwoRm::new(&stack, 2, &ThermalConfig::default())
+        let sol = Simulator::new(&stack, ModelChoice::TwoRm { m: 2 }, &ThermalConfig::default())
             .unwrap()
             .simulate(Pascal::from_kilopascals(kpa))
             .unwrap();
@@ -123,8 +123,8 @@ proptest! {
         .unwrap();
         let p = Pascal::from_kilopascals(kpa);
         let config = ThermalConfig::default();
-        let t1 = TwoRm::new(&stack, 3, &config).unwrap().simulate(p).unwrap();
-        let t2 = TwoRm::new(&stack2, 3, &config).unwrap().simulate(p).unwrap();
+        let t1 = Simulator::new(&stack, ModelChoice::TwoRm { m: 3 }, &config).unwrap().simulate(p).unwrap();
+        let t2 = Simulator::new(&stack2, ModelChoice::TwoRm { m: 3 }, &config).unwrap().simulate(p).unwrap();
         let r1 = t1.max_temperature().value() - 300.0;
         let r2 = t2.max_temperature().value() - 300.0;
         prop_assert!((r2 / r1 - 2.0).abs() < 1e-3, "rise {r1} -> {r2}");
@@ -134,7 +134,7 @@ proptest! {
     fn gradient_never_exceeds_total_span((stack, _net) in system(), kpa in 2.0f64..20.0) {
         // dT (max per-layer range) is bounded by the global span
         // T_max - T_in.
-        let sol = TwoRm::new(&stack, 2, &ThermalConfig::default())
+        let sol = Simulator::new(&stack, ModelChoice::TwoRm { m: 2 }, &ThermalConfig::default())
             .unwrap()
             .simulate(Pascal::from_kilopascals(kpa))
             .unwrap();

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Reference: the 4RM model (thermal cells conform to the channels).
     let t0 = Instant::now();
-    let four = FourRm::new(&stack, &config)?;
+    let four = Simulator::new(&stack, ModelChoice::FourRm, &config)?;
     let reference = four.simulate(p_sys)?;
     let t_four = t0.elapsed();
     println!(
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n  m   cell (um)   nodes   mean rel err   max abs err (K)   speed-up");
     for m in [1u16, 2, 4, 6, 8] {
         let t0 = Instant::now();
-        let two = TwoRm::new(&stack, m, &config)?;
+        let two = Simulator::new(&stack, ModelChoice::TwoRm { m }, &config)?;
         let sol = two.simulate(p_sys)?;
         let t_two = t0.elapsed();
         let err = compare::mean_relative_error(&reference, &sol);

@@ -22,7 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &StraightParams::default(),
     )?;
     let stack = bench.stack_with(std::slice::from_ref(&network))?;
-    let sim = TwoRm::new(&stack, 2, &ThermalConfig::default())?;
+    let sim = Simulator::new(
+        &stack,
+        ModelChoice::TwoRm { m: 2 },
+        &ThermalConfig::default(),
+    )?;
     let p_sys = Pascal::from_kilopascals(8.0);
 
     let steady = sim.simulate(p_sys)?;

@@ -98,7 +98,12 @@ fn adaptive_ladder_replays_bit_identically_across_solver_threads() {
     // Replays one probe sequence on a fresh simulator, returning every
     // temperature bit plus the step that solved each probe.
     let run = || -> (Vec<u64>, Vec<usize>) {
-        let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(
+            &stack,
+            ModelChoice::TwoRm { m: 2 },
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let mut bits = Vec::new();
         let mut trace = Vec::new();
         for &k in &kpa {

@@ -105,7 +105,12 @@ fn thermal_ladder_recovers_at_every_rung() {
     let (sim, reference, p) = {
         let _scope = fault::inject(&FaultPlan::none());
         let stack = bench.stack_with(std::slice::from_ref(&net)).unwrap();
-        let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+        let sim = Simulator::new(
+            &stack,
+            ModelChoice::TwoRm { m: 2 },
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let p = Pascal::from_kilopascals(5.0);
         let reference = sim.simulate(p).unwrap();
         (sim, reference, p)
@@ -144,7 +149,12 @@ fn nan_poisoning_escalates_to_the_next_rung() {
     let sim = {
         let _scope = fault::inject(&FaultPlan::none());
         let stack = bench.stack_with(std::slice::from_ref(&net)).unwrap();
-        TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap()
+        Simulator::new(
+            &stack,
+            ModelChoice::TwoRm { m: 2 },
+            &ThermalConfig::default(),
+        )
+        .unwrap()
     };
     let plan = FaultPlan::at([(0, FaultKind::PoisonNan)]);
     let scope = fault::inject(&plan);
@@ -167,7 +177,12 @@ fn probe_cache_survives_faulted_probes() {
     let (cached, cold_refs) = {
         let _scope = fault::inject(&FaultPlan::none());
         let stack = bench.stack_with(std::slice::from_ref(&net)).unwrap();
-        let cached = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+        let cached = Simulator::new(
+            &stack,
+            ModelChoice::TwoRm { m: 2 },
+            &ThermalConfig::default(),
+        )
+        .unwrap();
         let refs: Vec<ThermalSolution> = kpa
             .iter()
             .map(|&k| {

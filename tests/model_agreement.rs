@@ -11,8 +11,14 @@ fn reference_and_coarse(
 ) -> (ThermalSolution, ThermalSolution) {
     let stack = bench.stack_with(std::slice::from_ref(net)).unwrap();
     let config = ThermalConfig::default();
-    let four = FourRm::new(&stack, &config).unwrap().simulate(p).unwrap();
-    let two = TwoRm::new(&stack, m, &config).unwrap().simulate(p).unwrap();
+    let four = Simulator::new(&stack, ModelChoice::FourRm, &config)
+        .unwrap()
+        .simulate(p)
+        .unwrap();
+    let two = Simulator::new(&stack, ModelChoice::TwoRm { m }, &config)
+        .unwrap()
+        .simulate(p)
+        .unwrap();
     (four, two)
 }
 
@@ -116,8 +122,8 @@ fn transient_models_agree_on_time_scales() {
     let config = ThermalConfig::default();
     let p = Pascal::from_kilopascals(8.0);
 
-    let four = FourRm::new(&stack, &config).unwrap();
-    let two = TwoRm::new(&stack, 3, &config).unwrap();
+    let four = Simulator::new(&stack, ModelChoice::FourRm, &config).unwrap();
+    let two = Simulator::new(&stack, ModelChoice::TwoRm { m: 3 }, &config).unwrap();
     let steady4 = four.simulate(p).unwrap().max_temperature().value();
     let steady2 = two.simulate(p).unwrap().max_temperature().value();
 

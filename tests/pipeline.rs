@@ -123,7 +123,7 @@ fn case4_three_die_stack_has_three_channel_layers() {
     assert_eq!(stack.channel_layer_indices().len(), 3);
     // Middle die is sandwiched between channel layers; the stack still
     // solves and every die sees cooling.
-    let sol = FourRm::new(&stack, &ThermalConfig::default())
+    let sol = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default())
         .unwrap()
         .simulate(Pascal::from_kilopascals(15.0))
         .unwrap();

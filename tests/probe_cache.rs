@@ -37,7 +37,12 @@ const TOL_KELVIN: f64 = 5e-3;
 #[test]
 fn two_rm_cached_probes_match_cold_rebuild() {
     let stack = test_stack();
-    let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+    let sim = Simulator::new(
+        &stack,
+        ModelChoice::TwoRm { m: 2 },
+        &ThermalConfig::default(),
+    )
+    .unwrap();
     for kpa in PRESSURES_KPA {
         let p = Pascal::from_kilopascals(kpa);
         // The cached path reuses its ProbeCache across this loop — the
@@ -53,7 +58,7 @@ fn two_rm_cached_probes_match_cold_rebuild() {
 #[test]
 fn four_rm_cached_probes_match_cold_rebuild() {
     let stack = test_stack();
-    let sim = FourRm::new(&stack, &ThermalConfig::default()).unwrap();
+    let sim = Simulator::new(&stack, ModelChoice::FourRm, &ThermalConfig::default()).unwrap();
     for kpa in [4.0, 12.0] {
         let p = Pascal::from_kilopascals(kpa);
         let a = sim.simulate(p).unwrap();
@@ -68,7 +73,12 @@ fn warm_start_probes_match_too() {
     // simulate_with_guess drives the same cached path; feeding the
     // previous solution as a guess must not change the converged answer.
     let stack = test_stack();
-    let sim = TwoRm::new(&stack, 2, &ThermalConfig::default()).unwrap();
+    let sim = Simulator::new(
+        &stack,
+        ModelChoice::TwoRm { m: 2 },
+        &ThermalConfig::default(),
+    )
+    .unwrap();
     let mut prev: Option<ThermalSolution> = None;
     for kpa in PRESSURES_KPA {
         let p = Pascal::from_kilopascals(kpa);

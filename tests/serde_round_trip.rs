@@ -87,11 +87,63 @@ fn stack_round_trips() {
     let back: Stack = serde_json::from_str(&json).unwrap();
     assert_eq!(stack, back);
     // And it still simulates.
-    let sol = TwoRm::new(&back, 3, &ThermalConfig::default())
-        .unwrap()
-        .simulate(Pascal::from_kilopascals(5.0))
-        .unwrap();
+    let sol = Simulator::new(
+        &back,
+        ModelChoice::TwoRm { m: 3 },
+        &ThermalConfig::default(),
+    )
+    .unwrap()
+    .simulate(Pascal::from_kilopascals(5.0))
+    .unwrap();
     assert!(sol.max_temperature().value() > 300.0);
+}
+
+/// `ModelChoice` travels inside job specs, scenario specs and committed
+/// artifacts, so its JSON spelling is pinned exactly.
+#[test]
+fn model_choice_json_is_pinned() {
+    assert_eq!(
+        serde_json::to_string(&ModelChoice::FourRm).unwrap(),
+        r#""FourRm""#
+    );
+    assert_eq!(
+        serde_json::to_string(&ModelChoice::fast()).unwrap(),
+        r#"{"TwoRm":{"m":4}}"#
+    );
+    for model in [ModelChoice::FourRm, ModelChoice::fast()] {
+        let json = serde_json::to_string(&model).unwrap();
+        assert_eq!(serde_json::from_str::<ModelChoice>(&json).unwrap(), model);
+    }
+
+    let spec: ScenarioSpec = serde_json::from_str(
+        r#"{
+            "name": "pinned",
+            "duration": 0.01,
+            "dt": 0.001,
+            "control_interval": 5,
+            "model": {"TwoRm": {"m": 4}},
+            "controller": {"target": 330.0, "gain": 50.0, "p_min": 100.0, "p_max": 50000.0},
+            "p_initial": 5000.0,
+            "events": [{"at": 0.005, "action": {"PowerScale": {"scale": 0.5}}}]
+        }"#,
+    )
+    .unwrap();
+    assert_eq!(spec.model, ModelChoice::fast());
+    assert!(spec.validate().is_ok());
+
+    let stage: Stage = serde_json::from_str(
+        r#"{
+            "iterations": 20,
+            "rounds": 2,
+            "step": 2,
+            "model": "FourRm",
+            "metric": "Full",
+            "group": 1
+        }"#,
+    )
+    .unwrap();
+    assert_eq!(stage.model, ModelChoice::FourRm);
+    assert_eq!(stage.metric, StageMetric::Full);
 }
 
 /// A `ladder` object like those configs carried before the solve became
