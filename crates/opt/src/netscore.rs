@@ -42,15 +42,71 @@ impl NetworkScore {
     }
 }
 
+/// The profiles one evaluation has solved, keyed by the pressure's bits.
+///
+/// Every search returns a pressure it probed, so the score reads its
+/// profile here instead of solving that pressure a second time.
+struct Probed<'a> {
+    ev: &'a Evaluator,
+    seen: Vec<(u64, Profile)>,
+}
+
+impl<'a> Probed<'a> {
+    fn new(ev: &'a Evaluator) -> Self {
+        Self {
+            ev,
+            seen: Vec::new(),
+        }
+    }
+
+    fn profile(&mut self, p: Pascal) -> Result<Profile, ThermalError> {
+        let key = p.value().to_bits();
+        if let Some(&(_, profile)) = self.seen.iter().find(|(k, _)| *k == key) {
+            return Ok(profile);
+        }
+        let profile = self.ev.profile(p)?;
+        self.seen.push((key, profile));
+        Ok(profile)
+    }
+
+    /// The least pressure `≥ p_min` meeting `T*_max`, bracketed from the
+    /// energy floor.
+    fn peak_search(
+        &mut self,
+        limit: Kelvin,
+        p_min: Pascal,
+        opts: &PressureSearchOptions,
+    ) -> Result<Option<Pascal>, ThermalError> {
+        let (inlet, floor) = (
+            self.ev.inlet_temperature(),
+            self.ev.peak_pressure_floor(limit),
+        );
+        let mut h = |p: Pascal| self.profile(p).map(|pr| pr.t_max.value());
+        let r = min_pressure_for_peak(&mut h, limit, inlet, floor, p_min, opts)?;
+        Ok(r.map(|r| r.p_sys))
+    }
+}
+
 /// Algorithm 2: the lowest feasible pumping power of a network.
 ///
-/// First solves Eq. (11) — minimum pressure meeting `ΔT*` — via
-/// Algorithm 3, floored at the energy-balance bound
-/// [`Evaluator::peak_pressure_floor`] below which `T*_max` cannot hold;
-/// if `T*_max` is violated at that pressure, a monotone
-/// binary search raises the pressure (h decreases with `P_sys`), and the
-/// `ΔT` constraint is re-checked afterwards (raising pressure can cross to
-/// the rising side of a uni-modal `f`).
+/// Problem (11) asks for the least pressure meeting both `ΔT*` and
+/// `T*_max`. `T_max` does not increase with `P_sys` (§4.1), so the
+/// `T*_max` side of the feasible set is `[p_T, ∞)`, and the energy-balance
+/// bound `P_lb` of [`Evaluator::peak_pressure_floor`] sits just under
+/// `p_T`. One probe at `P_lb/0.9` decides which constraint to search
+/// first:
+///
+/// - `ΔT > ΔT*` there: `ΔT` binds. Line 1 solves Eq. (11) with Algorithm
+///   3, floored at `P_lb`; line 2 returns infeasible when `ΔT*` cannot be
+///   met.
+/// - Otherwise [`min_pressure_for_peak`] finds `p_T` first. When `ΔT(p_T)
+///   ≤ ΔT*` the same profile proves the answer; else Algorithm 3 runs
+///   floored at `p_T` (lines 1–2).
+///
+/// Lines 3–5 then repair a `T*_max` violation at Algorithm 3's answer by
+/// the same `T_max` search, and re-check `ΔT` there (raising pressure can
+/// cross to the rising side of a uni-modal `f`). Every pressure is solved
+/// at most once per evaluation.
 ///
 /// # Errors
 ///
@@ -70,35 +126,53 @@ pub fn evaluate_problem1(
     if t_max_limit <= ev.inlet_temperature() {
         return Ok(NetworkScore::Infeasible);
     }
-    // Line 1: solve (11) on the pressures that can meet T*_max at all.
-    let mut f = |p: Pascal| ev.profile(p).map(|pr| pr.delta_t.value());
+    let mut probed = Probed::new(ev);
     let floor = ev.peak_pressure_floor(t_max_limit);
-    let r = minimize_pressure_for_gradient(&mut f, delta_t_limit, floor, opts)?;
-    // Line 2: ΔT cannot be met.
+    // Which constraint binds, read just above the T*_max crossing. With
+    // no power (P_lb = 0) there is no crossing, and ΔT is searched first.
+    let gradient_binds = floor.value() == 0.0
+        || probed.profile(Pascal::new(floor.value() / 0.9))?.delta_t > delta_t_limit;
+    let gradient_floor = if gradient_binds {
+        floor
+    } else {
+        let Some(p_t) = probed.peak_search(t_max_limit, Pascal::new(0.0), opts)? else {
+            return Ok(NetworkScore::Infeasible);
+        };
+        let profile = probed.profile(p_t)?;
+        if profile.delta_t <= delta_t_limit {
+            return Ok(feasible_p1(ev, p_t, profile));
+        }
+        p_t
+    };
+    // Lines 1–2: the least pressure meeting ΔT* above the floor.
+    let mut f = |p: Pascal| probed.profile(p).map(|pr| pr.delta_t.value());
+    let r = minimize_pressure_for_gradient(&mut f, delta_t_limit, gradient_floor, opts)?;
     if !r.feasible {
         return Ok(NetworkScore::Infeasible);
     }
     let mut p = r.p_sys;
-    let mut profile = ev.profile(p)?;
+    let mut profile = probed.profile(p)?;
     // Lines 3–5: repair a T_max violation by raising pressure.
     if profile.t_max > t_max_limit {
-        let mut h = |p: Pascal| ev.profile(p).map(|pr| pr.t_max.value());
-        match min_pressure_for_peak(&mut h, t_max_limit, p, opts)? {
-            None => return Ok(NetworkScore::Infeasible),
-            Some(r2) => {
-                p = r2.p_sys;
-                profile = ev.profile(p)?;
-                if profile.delta_t > delta_t_limit || profile.t_max > t_max_limit {
-                    return Ok(NetworkScore::Infeasible);
-                }
-            }
+        let Some(p_t) = probed.peak_search(t_max_limit, p, opts)? else {
+            return Ok(NetworkScore::Infeasible);
+        };
+        p = p_t;
+        profile = probed.profile(p)?;
+        if profile.delta_t > delta_t_limit || profile.t_max > t_max_limit {
+            return Ok(NetworkScore::Infeasible);
         }
     }
-    Ok(NetworkScore::Feasible {
-        p_sys: p,
-        objective: ev.w_pump(p).value(),
+    Ok(feasible_p1(ev, p, profile))
+}
+
+/// A feasible Problem-1 score: the pumping power at `p_sys`.
+fn feasible_p1(ev: &Evaluator, p_sys: Pascal, profile: Profile) -> NetworkScore {
+    NetworkScore::Feasible {
+        p_sys,
+        objective: ev.w_pump(p_sys).value(),
         profile,
-    })
+    }
 }
 
 /// Problem-2 network evaluation: minimum `ΔT` under the pumping budget
@@ -107,7 +181,8 @@ pub fn evaluate_problem1(
 /// The budget converts to a pressure cap `P*_sys` via Eq. (10). If `f` is
 /// still falling at `P*_sys`, the cap itself is optimal (§5); otherwise a
 /// golden-section search locates the minimum of the uni-modal `f` inside
-/// the feasible pressure window.
+/// the feasible pressure window, whose floor is the least pressure above
+/// `P*_sys/256` meeting `T*_max` ([`min_pressure_for_peak`]).
 ///
 /// # Errors
 ///
@@ -123,50 +198,41 @@ pub fn evaluate_problem2(
     if t_max_limit <= ev.inlet_temperature() {
         return Ok(NetworkScore::Infeasible);
     }
+    let mut probed = Probed::new(ev);
     let p_star = ev.pressure_for_power(w_pump_limit);
-    let prof_star = ev.profile(p_star)?;
+    let prof_star = probed.profile(p_star)?;
     // T_max decreases with pressure: if even the cap violates it, no
     // smaller pressure can help.
     if prof_star.t_max > t_max_limit {
         return Ok(NetworkScore::Infeasible);
     }
+    let at_cap = NetworkScore::Feasible {
+        p_sys: p_star,
+        objective: prof_star.delta_t.value(),
+        profile: prof_star,
+    };
     // Falling-side test: probe slightly left of the cap.
-    let p_probe = Pascal::new(p_star.value() * 0.95);
-    let prof_probe = ev.profile(p_probe)?;
+    let prof_probe = probed.profile(Pascal::new(p_star.value() * 0.95))?;
     if prof_probe.delta_t.value() >= prof_star.delta_t.value() {
         // f still falling at the cap: the cap is optimal.
-        return Ok(NetworkScore::Feasible {
-            p_sys: p_star,
-            objective: prof_star.delta_t.value(),
-            profile: prof_star,
-        });
+        return Ok(at_cap);
     }
     // Otherwise the minimum sits left of the cap. The feasible window is
     // bounded below by the T*_max constraint (h monotone).
-    let mut h = |p: Pascal| ev.profile(p).map(|pr| pr.t_max.value());
-    let p_floor = match min_pressure_for_peak(
-        &mut h,
-        t_max_limit,
-        Pascal::new(p_star.value() / 256.0),
-        opts,
-    )? {
-        Some(r) => r.p_sys.value().min(p_star.value()),
-        None => p_star.value(), // only the cap itself is feasible
-    };
-    let mut f = |p: Pascal| ev.profile(p).map(|pr| pr.delta_t.value());
-    let (p_best, dt_best) = if p_floor >= p_star.value() * 0.999 {
-        (p_star, prof_star.delta_t.value())
-    } else {
-        golden_min(&mut f, Pascal::new(p_floor), p_star, opts)?
-    };
-    let profile = ev.profile(p_best)?;
+    let p_floor =
+        match probed.peak_search(t_max_limit, Pascal::new(p_star.value() / 256.0), opts)? {
+            Some(p) => p.value().min(p_star.value()),
+            None => p_star.value(), // only the cap itself is feasible
+        };
+    if p_floor >= p_star.value() * 0.999 {
+        return Ok(at_cap);
+    }
+    let mut f = |p: Pascal| probed.profile(p).map(|pr| pr.delta_t.value());
+    let (p_best, dt_best) = golden_min(&mut f, Pascal::new(p_floor), p_star, opts)?;
+    let profile = probed.profile(p_best)?;
     // Guard: golden section assumed uni-modality; re-verify constraints.
     if profile.t_max > t_max_limit {
-        return Ok(NetworkScore::Feasible {
-            p_sys: p_star,
-            objective: prof_star.delta_t.value(),
-            profile: prof_star,
-        });
+        return Ok(at_cap);
     }
     Ok(NetworkScore::Feasible {
         p_sys: p_best,
@@ -316,6 +382,95 @@ mod tests {
             assert!((ev.w_pump(p_sys).value() - objective).abs() < 1e-12);
         } else {
             panic!("expected feasible");
+        }
+    }
+
+    #[test]
+    fn problem1_answer_is_minimal() {
+        // Cases 1–3 at 21×21 in 4RM: one rel_tol below the returned
+        // pressure, T*_max or ΔT* is violated.
+        for case in 1..=3 {
+            let (bench, net) = setup(case);
+            let ev = Evaluator::new(&bench, &net, ModelChoice::FourRm).unwrap();
+            let score =
+                evaluate_problem1(&ev, bench.delta_t_limit, bench.t_max_limit, &opts()).unwrap();
+            let NetworkScore::Feasible { p_sys, .. } = score else {
+                panic!("case {case} must be feasible: {score:?}");
+            };
+            let below = ev
+                .profile(Pascal::new(p_sys.value() * (1.0 - opts().rel_tol)))
+                .unwrap();
+            assert!(
+                below.t_max > bench.t_max_limit || below.delta_t > bench.delta_t_limit,
+                "case {case}: {below:?} one rel_tol under {p_sys} meets both limits"
+            );
+        }
+    }
+
+    #[test]
+    fn problem1_profile_counts() {
+        // Profiles per P1 evaluation on the ICCAD cases at 21×21. Cases
+        // 1–3 are T_max-bound: the T_max search from the energy floor
+        // takes at most 6 (the ΔT-first order took 19–21). Cases 4 and 5
+        // are ΔT-bound: Algorithm 3 runs as before, plus the ΔT probe at
+        // P_lb/0.9 (the ΔT-first order took 16 and 12 in 2RM, 16 and 13
+        // in 4RM).
+        for (model, gradient_bound) in [
+            (ModelChoice::fast(), [(4, 17), (5, 13)]),
+            (ModelChoice::FourRm, [(4, 17), (5, 14)]),
+        ] {
+            for case in 1..=5 {
+                let (bench, net) = setup(case);
+                let ev = Evaluator::new(&bench, &net, model).unwrap();
+                let score = evaluate_problem1(&ev, bench.delta_t_limit, bench.t_max_limit, &opts())
+                    .unwrap();
+                let NetworkScore::Feasible { profile, .. } = score else {
+                    panic!("{model:?} case {case} must be feasible: {score:?}");
+                };
+                let n = ev.probe_count();
+                match gradient_bound.iter().find(|(c, _)| *c == case) {
+                    Some(&(_, most)) => {
+                        assert!(n <= most, "{model:?} case {case}: {n} profiles > {most}");
+                    }
+                    None => {
+                        assert!(
+                            profile.delta_t < bench.delta_t_limit,
+                            "{model:?} case {case} is not T_max-bound: {profile:?}"
+                        );
+                        assert!(n <= 6, "{model:?} case {case}: {n} profiles > 6");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_pressure_is_solved_once() {
+        let (bench, net) = setup(1);
+        let ev = Evaluator::new(&bench, &net, ModelChoice::fast()).unwrap();
+        let mut probed = Probed::new(&ev);
+        let a = probed.profile(Pascal::new(50.0)).unwrap();
+        assert_eq!(probed.profile(Pascal::new(50.0)).unwrap(), a);
+        assert_eq!(ev.probe_count(), 1);
+        probed.profile(Pascal::new(60.0)).unwrap();
+        assert_eq!(ev.probe_count(), 2);
+    }
+
+    #[test]
+    fn problem2_golden_answer_is_not_solved_again() {
+        // Case 1 runs golden section in both models. Its window floor now
+        // comes from the T_max search, and the profile at golden
+        // section's answer is the one it probed: the evaluation takes
+        // fewer profiles than the 25 (2RM) and 24 (4RM) it took with the
+        // doubling search from p*/256 and a final re-solve.
+        let (bench, net) = setup(1);
+        for (model, parent) in [(ModelChoice::fast(), 25), (ModelChoice::FourRm, 24)] {
+            let ev = Evaluator::new(&bench, &net, model).unwrap();
+            let score =
+                evaluate_problem2(&ev, bench.w_pump_limit(), bench.t_max_limit, &opts()).unwrap();
+            assert!(score.is_feasible(), "{model:?}: {score:?}");
+            let n = ev.probe_count();
+            assert!(n < parent, "{model:?}: {n} profiles, not under {parent}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Pressure searches: Algorithm 3, the monotone `T_max` search and the
+//! Pressure searches: Algorithm 3, the `T_max` search and the
 //! golden-section minimizer for Problem 2.
 //!
 //! §4.1 establishes the structure these searches rely on: `T_max =
@@ -7,13 +7,16 @@
 //! Probing either function means one full thermal simulation, so all
 //! searches are budgeted and converge on *relative* pressure intervals.
 //!
-//! Algorithm 3 also takes a pressure floor. Energy balance gives Problem 1
-//! one without any solve: the coolant is the only heat sink, so `T_max`
-//! cannot fall below the mixed outlet temperature, and no pressure under
-//! `P_lb = Q / ((T*_max − T_in) · Σ C_v/R_layer)` meets `T*_max`
-//! ([`Evaluator::peak_pressure_floor`](crate::evaluate::Evaluator::peak_pressure_floor)),
-//! so Algorithm 3 never needs to probe the near-singular low-flow
-//! systems below it.
+//! Energy balance gives both searches a pressure floor without any solve:
+//! the coolant is the only heat sink, so `T_max` cannot fall below the
+//! mixed outlet temperature, and no pressure under `P_lb = Q / ((T*_max −
+//! T_in) · Σ C_v/R_layer)` meets `T*_max`
+//! ([`Evaluator::peak_pressure_floor`](crate::evaluate::Evaluator::peak_pressure_floor)).
+//! Algorithm 3 takes it as a floor, so it never probes the near-singular
+//! low-flow systems below it. [`min_pressure_for_peak`] starts its
+//! bracket there: the outlet part of `T_max − T_in` is exactly
+//! `(T*_max − T_in)·P_lb/P_sys`, so a secant in `1/P_sys` reaches the
+//! `T*_max` crossing in a few probes.
 
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::ThermalError;
@@ -229,11 +232,36 @@ pub fn minimize_pressure_for_gradient(
     }
 }
 
-/// Monotone search: the smallest `P_sys ≥ start` with `h(P_sys) ≤ limit`
-/// (used when the `T*_max` constraint is violated, Algorithm 2 line 4).
+/// The peak-temperature search: the least `P_sys ≥ p_min` with `h(P_sys) ≤
+/// limit`, to within `opts.rel_tol` (used for Algorithm 2's `T*_max`
+/// constraint and Problem 2's window floor).
 ///
-/// Returns `None` if `h` never reaches the limit within the probe budget
-/// (the saturated `h` floor sits above `T*_max`).
+/// `h` is `T_max` as a function of pressure, which does not increase with
+/// `P_sys` (§4.1). The search starts from the energy floor `floor = P_lb`
+/// of [`Evaluator::peak_pressure_floor`](crate::evaluate::Evaluator::peak_pressure_floor),
+/// under which `h > limit` is known without a probe, and never probes
+/// below it. The first probe is at `max(P_lb/0.9, p_min)`; a feasible
+/// first probe at `p_min` is returned as is.
+///
+/// Steps are taken in `u = 1/P_sys`, where `h − T_in` is close to linear:
+/// its outlet-rise part is exactly `(limit − T_in)·P_lb·u`. With one end
+/// of the bracket probed, the step uses that known slope. With both ends
+/// probed, it is an Illinois secant. A step that leaves the bracket falls
+/// back to bisection in `u`, which doubles the pressure while no feasible
+/// end is known. Every step lands at least `rel_tol/2` inside the bracket,
+/// so an accurate estimate closes it with the next probe. The search stops
+/// at `1 − lo/hi ≤ rel_tol` and returns the feasible end `hi` with `h`
+/// there.
+///
+/// `p_min` is treated as a lower bracket end: when `p_min` lies between
+/// `P_lb` and `P_lb/0.9` and already meets the limit, the answer is within
+/// `rel_tol` above it. A floor of 0 (no power: every temperature sits at
+/// `T_in`) returns `p_min` without probing.
+///
+/// Returns `None` if `h` saturates above the limit (three sustained
+/// non-improvements) or the probe budget runs out before a feasible
+/// pressure is found, and without probing when `limit ≤ T_in` or the floor
+/// is not finite.
 ///
 /// # Errors
 ///
@@ -241,80 +269,107 @@ pub fn minimize_pressure_for_gradient(
 pub fn min_pressure_for_peak(
     h: &mut dyn FnMut(Pascal) -> Result<f64, ThermalError>,
     limit: Kelvin,
-    start: Pascal,
+    inlet: Kelvin,
+    floor: Pascal,
+    p_min: Pascal,
     opts: &PressureSearchOptions,
 ) -> Result<Option<PressureSearchResult>, ThermalError> {
-    let limit = limit.value();
+    let (limit, inlet, floor, p_min) = (limit.value(), inlet.value(), floor.value(), p_min.value());
+    let rise = limit - inlet;
+    if !(rise > 0.0 && floor.is_finite()) {
+        return Ok(None);
+    }
+    let found = |p: f64, t: f64, probes: usize| PressureSearchResult {
+        p_sys: Pascal::new(p),
+        delta_t: Kelvin::new(t),
+        feasible: true,
+        probes,
+    };
+    if floor <= 0.0 {
+        return Ok(Some(found(p_min, inlet, 0)));
+    }
     let mut probe = Probe {
         f: h,
         count: 0,
         budget: opts.max_probes,
     };
-    let mut lo = start.value().max(1.0);
-    let t_lo = probe.eval(lo)?;
-    if t_lo <= limit {
-        return Ok(Some(PressureSearchResult {
-            p_sys: Pascal::new(lo),
-            delta_t: Kelvin::new(t_lo),
-            feasible: true,
-            probes: probe.count,
-        }));
-    }
-    // Exponential expansion. Every probed point that stays above the
-    // limit becomes the bracket's new lower edge, so the binary search
-    // below starts on the tight `[hi/2, hi]` instead of the original
-    // `[start, hi]` (the pre-fix bracket wasted probes re-bisecting
-    // territory the expansion had already ruled out).
-    let mut hi = lo;
-    let mut t_hi = t_lo;
-    let mut last = t_lo;
+    // dh/du of the outlet-rise part.
+    let slope = rise * floor;
+    let tol = opts.rel_tol;
+    // The bracket: `lo` is infeasible, `hi` feasible. `g = h − limit` is
+    // kept for the probed ends (`None` for the unprobed floor).
+    let mut lo = floor.max(p_min);
+    let mut g_lo: Option<f64> = None;
+    let mut hi = f64::INFINITY;
+    let mut g_hi = 0.0;
+    let mut t_hi = f64::NAN;
+    // Which end the previous probe replaced (Illinois bookkeeping).
+    let mut last_feasible: Option<bool> = None;
     let mut stall = 0usize;
-    for _ in 0..40 {
-        lo = hi;
-        hi *= 2.0;
-        t_hi = probe.eval(hi)?;
-        if t_hi <= limit {
-            break;
+    let mut p = (floor / 0.9).max(p_min);
+    loop {
+        let t = probe.eval(p)?;
+        let g = t - limit;
+        if g <= 0.0 {
+            if p <= p_min {
+                return Ok(Some(found(p, t, probe.count)));
+            }
+            if last_feasible == Some(true) {
+                g_lo = g_lo.map(|v| v / 2.0);
+            }
+            (hi, g_hi, t_hi) = (p, g, t);
+            last_feasible = Some(true);
+        } else {
+            if hi.is_infinite() {
+                // Saturation: h stopped improving but is still above the
+                // limit. A single flat-or-rising step is not proof — h
+                // wobbles at the solver tolerance — so require sustained
+                // non-improvement before declaring the floor unreachable.
+                if let Some(prev) = g_lo {
+                    if prev - g < 1e-6 * g.max(1e-9) {
+                        stall += 1;
+                        if stall >= 3 {
+                            return Ok(None);
+                        }
+                    } else {
+                        stall = 0;
+                    }
+                }
+            } else if last_feasible == Some(false) {
+                g_hi /= 2.0;
+            }
+            (lo, g_lo) = (p, Some(g));
+            last_feasible = Some(false);
+        }
+        if 1.0 - lo / hi <= tol {
+            return Ok(Some(found(hi, t_hi, probe.count)));
         }
         if probe.exhausted() {
-            return Ok(None);
+            return Ok(hi.is_finite().then(|| found(hi, t_hi, probe.count)));
         }
-        // Saturation: h stopped improving but is still above the limit.
-        // A single flat-or-rising step is not proof — h wobbles at the
-        // solver tolerance — so require sustained non-improvement before
-        // declaring the floor unreachable (the pre-fix one-shot test
-        // returned `None` on any wobble, misreporting feasible networks
-        // as infeasible).
-        if (last - t_hi) < 1e-6 * (t_hi - limit).max(1e-9) {
-            stall += 1;
-            if stall >= 3 {
-                return Ok(None);
-            }
+        // The next probe, in u = 1/p (u_hi = 0 while no feasible end is
+        // known).
+        let (u_lo, u_hi) = (1.0 / lo, 1.0 / hi);
+        let u = match g_lo {
+            // Both ends probed: the Illinois secant.
+            Some(ga) if hi.is_finite() => u_hi - g_hi * (u_lo - u_hi) / (ga - g_hi),
+            // Only the infeasible end probed: the known slope while h
+            // improves; once it stalls, double the pressure.
+            Some(ga) if stall == 0 => u_lo - ga / slope,
+            Some(_) => 0.5 * u_lo,
+            // Only the feasible end probed (`lo` is the floor).
+            None => u_hi - g_hi / slope,
+        };
+        // An estimate more than rel_tol/2 outside the bracket falls back
+        // to bisection; any other is kept rel_tol/2 inside it.
+        let margin = 1.0 - 0.5 * tol;
+        let u = if u > u_hi * margin && u < u_lo / margin {
+            u
         } else {
-            stall = 0;
-        }
-        last = t_hi;
+            0.5 * (u_lo + u_hi)
+        };
+        p = (1.0 / u).max(lo / margin).min(hi * margin);
     }
-    if t_hi > limit {
-        return Ok(None);
-    }
-    // Binary search.
-    while (1.0 - lo / hi).abs() > opts.rel_tol && !probe.exhausted() {
-        let mid = (lo + hi) / 2.0;
-        let tm = probe.eval(mid)?;
-        if tm > limit {
-            lo = mid;
-        } else {
-            hi = mid;
-            t_hi = tm;
-        }
-    }
-    Ok(Some(PressureSearchResult {
-        p_sys: Pascal::new(hi),
-        delta_t: Kelvin::new(t_hi),
-        feasible: true,
-        probes: probe.count,
-    }))
 }
 
 /// Golden-section minimization of a uni-modal `f` over `[lo, hi]` (§5:
@@ -472,77 +527,101 @@ mod tests {
         assert!(count <= 7, "count = {count}"); // budget + bracketing slack
     }
 
+    const T_IN: Kelvin = Kelvin::new(300.0);
+
+    /// Runs the `T_max` search on `h` and returns the probed pressures.
+    fn peak_sequence(
+        h: &dyn Fn(f64) -> f64,
+        limit: f64,
+        floor: f64,
+        p_min: f64,
+        opts: &PressureSearchOptions,
+    ) -> (Vec<f64>, Option<PressureSearchResult>) {
+        let mut seq = Vec::new();
+        let mut g = |p: Pascal| {
+            seq.push(p.value());
+            Ok(h(p.value()))
+        };
+        let r = min_pressure_for_peak(
+            &mut g,
+            Kelvin::new(limit),
+            T_IN,
+            Pascal::new(floor),
+            Pascal::new(p_min),
+            opts,
+        )
+        .unwrap();
+        (seq, r)
+    }
+
     #[test]
     fn peak_search_finds_monotone_crossing() {
-        // h(p) = 300 + 1e6/p; limit 340 → p = 25000.
-        let mut h = |p: Pascal| Ok(300.0 + 1.0e6 / p.value());
-        let r = min_pressure_for_peak(&mut h, Kelvin::new(340.0), Pascal::new(1000.0), &opts())
-            .unwrap()
-            .unwrap();
+        // h(p) = 300 + 1e6/p; limit 340 → p = 25000. The 1 kPa floor is
+        // valid but loose (the outlet model's slope is 25× too small).
+        let (_, r) = peak_sequence(&|p| 300.0 + 1.0e6 / p, 340.0, 1000.0, 0.0, &opts());
+        let r = r.unwrap();
         assert!((r.p_sys.value() - 25000.0).abs() / 25000.0 < 0.01);
+        assert!(r.feasible && r.delta_t.value() <= 340.0, "{r:?}");
     }
 
     #[test]
     fn peak_search_detects_saturation() {
-        // h saturates at 350 > 340: no feasible pressure.
-        let mut h = |p: Pascal| Ok(350.0 + 1.0e3 / p.value());
-        let r = min_pressure_for_peak(&mut h, Kelvin::new(340.0), Pascal::new(1000.0), &opts())
-            .unwrap();
+        // h saturates at 350 > 340: no feasible pressure, and the search
+        // says so well inside its probe budget.
+        let (seq, r) = peak_sequence(&|p| 350.0 + 1.0e3 / p, 340.0, 1000.0, 0.0, &opts());
         assert!(r.is_none());
+        assert!(seq.len() < opts().max_probes, "{} probes", seq.len());
     }
 
     #[test]
     fn peak_search_accepts_start_if_feasible() {
-        let mut h = |p: Pascal| Ok(300.0 + 1.0e6 / p.value());
-        let r = min_pressure_for_peak(&mut h, Kelvin::new(340.0), Pascal::new(50000.0), &opts())
-            .unwrap()
-            .unwrap();
+        // A feasible first probe at p_min is returned after one probe.
+        let (seq, r) = peak_sequence(&|p| 300.0 + 1.0e6 / p, 340.0, 1000.0, 50000.0, &opts());
+        let r = r.unwrap();
+        assert_eq!(seq, [50000.0]);
         assert_eq!(r.p_sys.value(), 50000.0);
         assert_eq!(r.probes, 1);
     }
 
     #[test]
     fn peak_search_bracket_starts_at_last_infeasible_point() {
-        // Same crossing as `peak_search_finds_monotone_crossing`:
-        // expansion probes 2000, 4000, 8000, 16000, 32000 and the binary
-        // search must then bisect [16000, 32000], not the pre-fix
-        // [1000, 32000]. The tighter bracket shaves one bisection probe
-        // (binary search is logarithmic in interval width, so the win is
-        // ~1 probe per search, not per doubling).
-        let mut count = 0usize;
-        let mut h = |p: Pascal| {
-            count += 1;
-            Ok(300.0 + 1.0e6 / p.value())
-        };
-        let r = min_pressure_for_peak(&mut h, Kelvin::new(340.0), Pascal::new(1000.0), &opts())
-            .unwrap()
-            .unwrap();
-        assert!((r.p_sys.value() - 25000.0).abs() / 25000.0 < 0.01);
-        // The result must lie inside the tightened bracket.
-        assert!(r.p_sys.value() >= 16000.0 && r.p_sys.value() <= 32000.0);
-        // Measured: 1 start + 5 expansion + 10 bisections with the tight
-        // bracket (the pre-fix wide bracket took one more, 17 total).
-        assert!(count <= 16, "bracketing regressed: {count} probes");
+        // Same crossing as `peak_search_finds_monotone_crossing`. Every
+        // probe lies inside the bracket the earlier probes left: above
+        // the last infeasible pressure (the floor before any) and below
+        // the last feasible one. Doubling from P_lb/0.9 brackets 25 kPa
+        // in [17.8, 35.6] kPa; h is linear in 1/p, so the secant lands on
+        // the crossing and one probe rel_tol/2 below it closes the
+        // bracket: 8 probes (the doubling-and-bisection search took 16).
+        let (seq, r) = peak_sequence(&|p| 300.0 + 1.0e6 / p, 340.0, 1000.0, 0.0, &opts());
+        let (mut lo, mut hi) = (1000.0, f64::INFINITY);
+        for &p in &seq {
+            assert!(p > lo && p < hi, "probe {p} outside ({lo}, {hi})");
+            if 300.0 + 1.0e6 / p > 340.0 {
+                lo = p;
+            } else {
+                hi = p;
+            }
+        }
+        let r = r.unwrap();
+        assert_eq!(r.p_sys.value(), hi);
+        assert!(1.0 - lo / hi <= opts().rel_tol);
+        assert!(seq.len() <= 8, "bracketing regressed: {} probes", seq.len());
     }
 
     #[test]
     fn peak_search_survives_a_single_wobble() {
-        // h falls toward the limit but rises by 0.1 K at one expansion
-        // sample — the kind of wobble an iterative solver's tolerance
-        // produces. The pre-fix one-shot saturation test returned `None`
-        // here (misreporting a feasible network as infeasible); the
-        // sustained-stall test must push past it and find the crossing.
-        let mut h = |p: Pascal| {
-            let x = p.value();
-            Ok(match () {
-                _ if x < 1500.0 => 350.0,
-                _ if x < 3000.0 => 345.0,
-                _ if x < 6000.0 => 345.1, // the wobble: rises, still infeasible
-                _ => 330.0,
-            })
+        // h falls toward the limit but rises by 0.1 K at one sample — the
+        // kind of wobble an iterative solver's tolerance produces. A
+        // one-shot saturation test would return `None` here (misreporting
+        // a feasible network as infeasible); the sustained-stall test must
+        // push past it and find the crossing.
+        let h = |x: f64| match () {
+            _ if x < 1500.0 => 350.0,
+            _ if x < 3000.0 => 345.0,
+            _ if x < 6000.0 => 345.1, // the wobble: rises, still infeasible
+            _ => 330.0,
         };
-        let r = min_pressure_for_peak(&mut h, Kelvin::new(340.0), Pascal::new(1000.0), &opts())
-            .unwrap();
+        let (_, r) = peak_sequence(&h, 340.0, 1000.0, 0.0, &opts());
         let r = r.expect("a single wobble must not be read as saturation");
         // Crossing is the 345.1 → 330.0 step at 6000 Pa.
         assert!(
@@ -550,6 +629,65 @@ mod tests {
             "p = {}",
             r.p_sys.value()
         );
+    }
+
+    #[test]
+    fn peak_search_converges_on_the_outlet_model() {
+        // h = T_in + a/p + c with a = (limit − T_in)·P_lb: the outlet
+        // rise plus a constant. The known-slope step from P_lb/0.9 lands
+        // on the crossing P_lb/(1 − c/40); one more probe closes the
+        // bracket from the far side.
+        let floor = 1000.0;
+        for c in [0.0, 0.5, 1.0, 2.0, 3.9] {
+            for rel_tol in [1e-3, 1e-2, 2e-2] {
+                let opts = PressureSearchOptions { rel_tol, ..opts() };
+                let h = |p: f64| 300.0 + 40.0 * floor / p + c;
+                let (seq, r) = peak_sequence(&h, 340.0, floor, 0.0, &opts);
+                let r = r.unwrap();
+                let p_t = floor / (1.0 - c / 40.0);
+                assert!(seq.len() <= 3, "c = {c}: {} probes {seq:?}", seq.len());
+                assert!(h(r.p_sys.value()) <= 340.0, "c = {c}: {r:?}");
+                assert!(
+                    r.p_sys.value() >= p_t * (1.0 - 1e-12)
+                        && r.p_sys.value() <= p_t * (1.0 + rel_tol),
+                    "c = {c}: p = {} vs p_T = {p_t}",
+                    r.p_sys.value()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn peak_search_never_probes_below_the_floor() {
+        // A floor above the true crossing (here h meets 340 K at 500 Pa):
+        // the known-slope step from the feasible side aims under P_lb, so
+        // it bisects instead, and the answer is the floor to rel_tol.
+        let h = |p: f64| 300.0 + 20.0 * 1000.0 / p;
+        let (seq, r) = peak_sequence(&h, 340.0, 1000.0, 0.0, &opts());
+        assert!(seq.iter().all(|&p| p >= 1000.0), "{seq:?}");
+        let p = r.unwrap().p_sys.value();
+        assert!(
+            p > 1000.0 && p <= 1000.0 / (1.0 - opts().rel_tol),
+            "p = {p}"
+        );
+    }
+
+    #[test]
+    fn peak_search_without_power_returns_p_min() {
+        // P_lb = 0: nothing heats the stack, so T_max = T_in meets any
+        // limit above it, and no probe is spent.
+        let (seq, r) = peak_sequence(&|_| f64::NAN, 340.0, 0.0, 123.0, &opts());
+        assert!(seq.is_empty());
+        let r = r.unwrap();
+        assert_eq!(r.p_sys.value(), 123.0);
+        assert_eq!(r.delta_t, T_IN);
+        assert_eq!(r.probes, 0);
+        // A limit at or under T_in, or an infinite floor, is unreachable
+        // without probing either.
+        let (seq, r) = peak_sequence(&|_| f64::NAN, 300.0, 1000.0, 0.0, &opts());
+        assert!(seq.is_empty() && r.is_none());
+        let (seq, r) = peak_sequence(&|_| f64::NAN, 340.0, f64::INFINITY, 0.0, &opts());
+        assert!(seq.is_empty() && r.is_none());
     }
 
     #[test]

@@ -84,18 +84,30 @@ proptest! {
     fn peak_search_matches_analytic_crossing(
         rise in 1.0e3f64..1.0e6,
         limit_excess in 1.0f64..50.0,
+        floor_frac in 1.0e-6f64..1.0,
     ) {
         // h(p) = 300 + rise/p; limit = 300 + limit_excess crosses at
-        // rise / limit_excess.
-        let mut h = |p: Pascal| Ok(300.0 + rise / p.value());
+        // rise / limit_excess. Any floor at or under the crossing is a
+        // valid energy floor; the tight ones make the outlet model exact.
+        let expected = rise / limit_excess;
+        let floor = expected * floor_frac;
+        let mut below_floor = 0usize;
+        let mut h = |p: Pascal| {
+            if p.value() < floor {
+                below_floor += 1;
+            }
+            Ok(300.0 + rise / p.value())
+        };
         let r = min_pressure_for_peak(
             &mut h,
             Kelvin::new(300.0 + limit_excess),
-            Pascal::new(1.0),
+            Kelvin::new(300.0),
+            Pascal::new(floor),
+            Pascal::new(0.0),
             &opts(),
         )
         .unwrap();
-        let expected = rise / limit_excess;
+        prop_assert_eq!(below_floor, 0);
         match r {
             Some(r) => prop_assert!(
                 (r.p_sys.value() - expected).abs() / expected < 0.05,

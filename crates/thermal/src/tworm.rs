@@ -278,7 +278,6 @@ pub(crate) fn assemble(
                         k_u,
                         t_u,
                         pitch,
-                        config,
                     );
                 }
                 (LayerNodes::Bulk(lo), LayerNodes::Channel { solid, liquid }) => {
@@ -293,7 +292,6 @@ pub(crate) fn assemble(
                         k_l,
                         t_l,
                         pitch,
-                        config,
                     );
                 }
                 (
@@ -476,7 +474,6 @@ fn channel_vertical(
     k_bulk: f64,
     t_bulk: f64,
     pitch: f64,
-    _config: &ThermalConfig,
 ) {
     let layer = &layers[channel_layer];
     debug_assert!(matches!(layer.kind, LayerKind::Channel { .. }));
