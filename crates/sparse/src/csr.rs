@@ -122,6 +122,76 @@ impl CsrMatrix {
         }
     }
 
+    /// Builds the sparsity pattern of the coordinates `coords` with every
+    /// stored value zero, plus the storage slot of each coordinate in
+    /// input order, so that a caller can add any number of value lists
+    /// into [`values_mut`](Self::values_mut) without a lookup.
+    ///
+    /// The pattern is [`from_triplets`](Self::from_triplets)' pattern for
+    /// the same coordinates with nonzero values: sorted, unique columns
+    /// per row, and no entry is dropped. One counting pass buckets the
+    /// coordinates by row, and each row is insertion-sorted by column.
+    /// `coords` is walked twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any coordinate is out of bounds.
+    pub fn pattern_with_slots(
+        rows: usize,
+        cols: usize,
+        coords: impl Iterator<Item = (u32, u32)> + Clone,
+    ) -> (Self, Vec<usize>) {
+        let mut start = vec![0usize; rows + 1];
+        for (r, c) in coords.clone() {
+            assert!(
+                (r as usize) < rows && (c as usize) < cols,
+                "coordinate ({r}, {c}) out of bounds for {rows}x{cols} matrix"
+            );
+            start[r as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            start[i + 1] += start[i];
+        }
+        // `(column, input index)` of every coordinate, bucketed by row.
+        assert!(start[rows] <= u32::MAX as usize, "too many coordinates");
+        let mut bucket = vec![(0u32, 0u32); start[rows]];
+        let mut next = start.clone();
+        for ((r, c), k) in coords.zip(0..) {
+            bucket[next[r as usize]] = (c, k);
+            next[r as usize] += 1;
+        }
+        let mut slots = vec![0usize; bucket.len()];
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut col_idx: Vec<u32> = Vec::with_capacity(bucket.len());
+        row_ptr.push(0);
+        for r in 0..rows {
+            let row = &mut bucket[start[r]..start[r + 1]];
+            for i in 1..row.len() {
+                let mut j = i;
+                while j > 0 && row[j - 1].0 > row[j].0 {
+                    row.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            for &(c, k) in row.iter() {
+                if col_idx.len() == row_ptr[r] || col_idx[col_idx.len() - 1] != c {
+                    col_idx.push(c);
+                }
+                slots[k as usize] = col_idx.len() - 1;
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let matrix = Self {
+            rows,
+            cols,
+            runs: equal_length_runs(&row_ptr),
+            values: vec![0.0; col_idx.len()],
+            row_ptr,
+            col_idx,
+        };
+        (matrix, slots)
+    }
+
     /// Creates an `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let row_ptr: Vec<usize> = (0..=n).collect();

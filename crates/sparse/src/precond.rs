@@ -82,37 +82,57 @@ impl Preconditioner for Jacobi {
 /// advection–diffusion thermal systems, where Jacobi alone converges
 /// slowly at high flow rates.
 ///
-/// Elimination runs on a natural-order CSR workspace; [`apply`] reads two
-/// level-ordered copies of its triangles (see `Sweep`), so rows that do
+/// The factor lives in a natural-order CSR workspace. The IKJ
+/// elimination's structure depends on the pattern alone, so
+/// [`symbolic`](Ilu0::symbolic) records it once: for each strictly-lower
+/// slot, the pivot slot it divides by and the `(target, source)` slot
+/// pairs it updates. [`refactor`](Ilu0::refactor) replays that list with
+/// the new values, with no column lookups. [`apply`] reads two
+/// level-ordered copies of the triangles (see `Sweep`), so rows that do
 /// not depend on each other run back to back instead of waiting on their
 /// x-neighbour. Inside a level, rows sort by stored length, and each run
 /// of equal-length rows goes through a loop with that length fixed at
 /// compile time. Each row's arithmetic is unchanged, so the result is bit
-/// for bit the natural-order sweep's.
+/// for bit the natural-order elimination's and sweep's.
 ///
 /// [`apply`]: Preconditioner::apply
 #[derive(Debug, Clone)]
 pub struct Ilu0 {
     /// Combined L\U factors on A's pattern (row-major CSR arrays): the
-    /// elimination workspace.
+    /// elimination workspace. Only the test references read the columns
+    /// once the elimination list and the sweeps are built.
     row_ptr: Vec<usize>,
+    #[cfg(test)]
     col_idx: Vec<u32>,
     values: Vec<f64>,
     /// Position of the diagonal entry within each row's slice.
     diag_pos: Vec<usize>,
     /// Factor slot holding the `k`-th stored entry of the source matrix
-    /// (factor pattern = A's pattern plus inserted diagonals, so the map is
-    /// injective but not surjective).
-    a_slot: Vec<usize>,
-    /// Elimination scratch, column -> slot in the current row; all `-1`
-    /// between rows.
-    slot_of_col: Vec<isize>,
+    /// when a row lacked its diagonal (factor pattern = A's pattern plus
+    /// inserted diagonals, so the map is injective but not surjective);
+    /// `None` when the two patterns are equal.
+    a_slot: Option<Vec<usize>>,
+    /// One elimination step per strictly-lower slot, in CSR slot order.
+    steps: Vec<Step>,
+    /// `(target, source)` slot pairs of every step, back to back: the
+    /// step at lower slot `kk` runs `values[target] -= l · values[source]`
+    /// with `l = values[kk] / values[pivot]`.
+    updates: Vec<[u32; 2]>,
     /// Strictly-lower entries, forward-sweep level order.
     lower: Sweep,
     /// Diagonal followed by the strictly-upper entries, backward-sweep
     /// level order.
     upper: Sweep,
     dim: usize,
+}
+
+/// One step of the IKJ elimination, at one strictly-lower slot: the slot
+/// of the pivot it divides by, and where its update pairs end in
+/// `Ilu0::updates` (they start where the previous step's pairs end).
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    pivot: u32,
+    end: u32,
 }
 
 /// One triangle of the factor, stored row after row in dependency-level
@@ -267,10 +287,10 @@ impl Ilu0 {
 
     /// Builds the reusable symbolic structure for `a`'s sparsity pattern:
     /// the factor pattern (A's pattern plus explicit diagonals), diagonal
-    /// positions, the A-slot → factor-slot map used by
-    /// [`Ilu0::refactor`], and the level schedule of both triangular
-    /// sweeps. Factor values are left at zero; call [`Ilu0::refactor`]
-    /// before [`Preconditioner::apply`].
+    /// positions, the A-slot → factor-slot map and the elimination list
+    /// used by [`Ilu0::refactor`], and the level schedule of both
+    /// triangular sweeps. Factor values are left at zero; call
+    /// [`Ilu0::refactor`] before [`Preconditioner::apply`].
     ///
     /// This is the one-time half of the probe-path split: callers that
     /// re-factor the same pattern with new numeric values (the
@@ -283,45 +303,26 @@ impl Ilu0 {
         assert_eq!(a.rows(), a.cols(), "ILU(0) requires a square matrix");
         let n = a.rows();
 
-        // Copy A's pattern, inserting an explicit diagonal if absent, and
-        // record where each of A's stored entries and each row's diagonal
-        // land in the factor.
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut a_slot = Vec::with_capacity(a.nnz());
-        let mut diag_pos = Vec::with_capacity(n);
-        row_ptr.push(0);
-        for r in 0..n {
-            let (cols, _) = a.row(r);
-            let mut diag = None;
-            for &c in cols {
-                if c as usize == r {
-                    diag = Some(col_idx.len());
-                }
-                a_slot.push(col_idx.len());
-                col_idx.push(c);
+        // When every row stores its diagonal (the thermal and hydraulic
+        // systems do), the factor pattern is A's own.
+        let diagonals: Option<Vec<usize>> = (0..n)
+            .map(|r| {
+                let lo = a.row_ptr()[r];
+                a.row(r).0.binary_search(&(r as u32)).ok().map(|k| lo + k)
+            })
+            .collect();
+        let (row_ptr, col_idx, diag_pos, a_slot) = match diagonals {
+            Some(diag_pos) => (
+                a.row_ptr().to_vec(),
+                a.col_indices().to_vec(),
+                diag_pos,
+                None,
+            ),
+            None => {
+                let (row_ptr, col_idx, diag_pos, a_slot) = insert_diagonals(a);
+                (row_ptr, col_idx, diag_pos, Some(a_slot))
             }
-            let diag = diag.unwrap_or_else(|| {
-                // Insert zero diagonal keeping the row sorted, shifting the
-                // slot map for this row's entries past the insertion point.
-                let lo = row_ptr[r];
-                let insert_at = lo
-                    + col_idx[lo..]
-                        .iter()
-                        .position(|&c| c as usize > r)
-                        .unwrap_or(col_idx.len() - lo);
-                col_idx.insert(insert_at, r as u32);
-                for s in a_slot.iter_mut().rev() {
-                    if *s < insert_at {
-                        break;
-                    }
-                    *s += 1;
-                }
-                insert_at
-            });
-            diag_pos.push(diag);
-            row_ptr.push(col_idx.len());
-        }
+        };
 
         // The forward sweep reads the columns below each row, the backward
         // sweep those above it, so the latter's levels count from the end.
@@ -331,15 +332,18 @@ impl Ilu0 {
         let upper_order = level_order(n, (0..n).rev(), |i| &col_idx[upper_slots(i)][1..]);
         let lower = Sweep::new(lower_order, &col_idx, lower_slots);
         let upper = Sweep::new(upper_order, &col_idx, upper_slots);
+        let (steps, updates) = elimination_list(&row_ptr, &col_idx, &diag_pos);
 
         let nnz = col_idx.len();
         Self {
             row_ptr,
+            #[cfg(test)]
             col_idx,
             values: vec![0.0; nnz],
             diag_pos,
             a_slot,
-            slot_of_col: vec![-1; n],
+            steps,
+            updates,
             lower,
             upper,
             dim: n,
@@ -348,9 +352,9 @@ impl Ilu0 {
 
     /// Recomputes the numeric factorization from `a`'s current values,
     /// reusing the symbolic structure. This is the per-probe half of the
-    /// split: a value copy, one IKJ elimination sweep, and one pass that
-    /// copies the factor into the level-ordered sweeps; it allocates
-    /// nothing.
+    /// split: a value copy, a replay of the recorded elimination list, and
+    /// one pass that copies the factor into the level-ordered sweeps; it
+    /// allocates nothing.
     ///
     /// # Panics
     ///
@@ -360,22 +364,52 @@ impl Ilu0 {
         assert_eq!(a.rows(), self.dim, "refactor: dimension mismatch");
         assert_eq!(
             a.nnz(),
-            self.a_slot.len(),
+            self.a_slot.as_ref().map_or(self.values.len(), Vec::len),
             "refactor: sparsity pattern mismatch"
         );
-        // Numeric copy: zero everything (inserted diagonals must reset),
-        // then scatter A's values through the slot map.
-        self.values.iter_mut().for_each(|v| *v = 0.0);
-        for (&slot, &v) in self.a_slot.iter().zip(a.values()) {
-            self.values[slot] = v;
+        let Self {
+            row_ptr,
+            values,
+            diag_pos,
+            a_slot,
+            steps,
+            updates,
+            ..
+        } = self;
+        // Numeric copy. With an inserted diagonal, zero everything (the
+        // inserted diagonals must reset), then scatter A's values through
+        // the slot map.
+        match a_slot {
+            None => values.copy_from_slice(a.values()),
+            Some(a_slot) => {
+                values.fill(0.0);
+                for (&slot, &v) in a_slot.iter().zip(a.values()) {
+                    values[slot] = v;
+                }
+            }
         }
-        eliminate(
-            &self.row_ptr,
-            &self.col_idx,
-            &self.diag_pos,
-            &mut self.values,
-            &mut self.slot_of_col,
-        );
+        let mut steps = steps.iter();
+        let mut from = 0;
+        for (i, &dp) in diag_pos.iter().enumerate() {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            for (kk, step) in (lo..dp).zip(&mut steps) {
+                let end = step.end as usize;
+                let factor = values[kk] / values[step.pivot as usize];
+                values[kk] = factor;
+                for &[target, source] in &updates[from..end] {
+                    values[target as usize] -= factor * values[source as usize];
+                }
+                from = end;
+            }
+            // Pivot guard.
+            if values[dp].abs() < 1e-300 {
+                let row_max = values[lo..hi]
+                    .iter()
+                    .fold(0.0f64, |m, v| m.max(v.abs()))
+                    .max(1e-30);
+                values[dp] = row_max * 1e-8;
+            }
+        }
         self.lower.gather(&self.values);
         self.upper.gather(&self.values);
     }
@@ -402,12 +436,111 @@ impl Ilu0 {
     }
 }
 
+/// A's pattern with an explicit diagonal inserted in each row that lacks
+/// one: the factor's row pointer, columns and diagonal slots, and the
+/// factor slot of each of A's stored entries.
+fn insert_diagonals(a: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<usize>, Vec<usize>) {
+    let n = a.rows();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx: Vec<u32> = Vec::new();
+    let mut a_slot = Vec::with_capacity(a.nnz());
+    let mut diag_pos = Vec::with_capacity(n);
+    row_ptr.push(0);
+    for r in 0..n {
+        let (cols, _) = a.row(r);
+        let mut diag = None;
+        for &c in cols {
+            if c as usize == r {
+                diag = Some(col_idx.len());
+            }
+            a_slot.push(col_idx.len());
+            col_idx.push(c);
+        }
+        let diag = diag.unwrap_or_else(|| {
+            // Insert zero diagonal keeping the row sorted, shifting the
+            // slot map for this row's entries past the insertion point.
+            let lo = row_ptr[r];
+            let insert_at = lo
+                + col_idx[lo..]
+                    .iter()
+                    .position(|&c| c as usize > r)
+                    .unwrap_or(col_idx.len() - lo);
+            col_idx.insert(insert_at, r as u32);
+            for s in a_slot.iter_mut().rev() {
+                if *s < insert_at {
+                    break;
+                }
+                *s += 1;
+            }
+            insert_at
+        });
+        diag_pos.push(diag);
+        row_ptr.push(col_idx.len());
+    }
+    (row_ptr, col_idx, diag_pos, a_slot)
+}
+
+/// The IKJ elimination's structure on the factor pattern: per row `i`
+/// and strictly-lower slot `kk` (column `k < i`), in CSR order, the
+/// `Step` dividing by row `k`'s pivot and the `(target, source)` pairs
+/// for every column `j > k` of row `k` that row `i` also stores, in row
+/// `k`'s column order. Replaying the list runs exactly the arithmetic the
+/// elimination runs, in the same order.
+///
+/// # Panics
+///
+/// Panics if a slot or the list length does not fit in `u32`.
+fn elimination_list(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    diag_pos: &[usize],
+) -> (Vec<Step>, Vec<[u32; 2]>) {
+    assert!(col_idx.len() < u32::MAX as usize, "ILU(0) factor too large");
+    let n = diag_pos.len();
+    let lower = |i: usize| &col_idx[row_ptr[i]..diag_pos[i]];
+    let upper_len = |k: u32| row_ptr[k as usize + 1] - diag_pos[k as usize] - 1;
+    let mut steps = Vec::with_capacity((0..n).map(|i| lower(i).len()).sum());
+    // Room for a pair per strictly-upper entry of each row read, plus one:
+    // every candidate is written, and only a hit advances `len`.
+    let bound: usize = (0..n)
+        .map(|i| lower(i).iter().map(|&k| upper_len(k)).sum::<usize>())
+        .sum();
+    assert!(bound < u32::MAX as usize, "ILU(0) list too long");
+    let mut updates = vec![[0u32; 2]; bound + 1];
+    let mut len = 0;
+    // Column -> one past its slot in the latest row that stores it, so
+    // that a value at or below the current row's first slot is stale and
+    // no row needs clearing.
+    let mut seen = vec![0u32; n];
+    for i in 0..n {
+        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+        for (&c, s) in col_idx[lo..hi].iter().zip(lo as u32 + 1..) {
+            seen[c as usize] = s;
+        }
+        for &k in lower(i) {
+            let k = k as usize;
+            let from = diag_pos[k] + 1;
+            for (&j, jj) in col_idx[from..row_ptr[k + 1]].iter().zip(from as u32..) {
+                let s = seen[j as usize];
+                updates[len] = [s.wrapping_sub(1), jj];
+                len += usize::from(s as usize > lo);
+            }
+            steps.push(Step {
+                pivot: diag_pos[k] as u32,
+                end: len as u32,
+            });
+        }
+    }
+    updates.truncate(len);
+    updates.shrink_to_fit();
+    (steps, updates)
+}
+
 /// IKJ-variant ILU(0) elimination in place on the CSR factor `values`,
 /// with `slot_of_col` (all `-1` on entry and on exit) mapping each column
-/// of the current row to its slot. A free function so that the two
-/// mutable buffers arrive as separate slice arguments, which the compiler
-/// may assume do not alias; borrowed as fields inside `refactor`, the
-/// loop measured slower than with a freshly allocated local scratch.
+/// of the current row to its slot: the arithmetic `refactor` replays from
+/// the elimination list, kept as the reference it must match bit for bit.
+#[cfg(test)]
 fn eliminate(
     row_ptr: &[usize],
     col_idx: &[u32],
@@ -616,10 +749,13 @@ mod tests {
         assert_eq!(ilu.upper.runs, [0, 1, 5, 9]);
     }
 
-    #[test]
-    fn level_ordered_apply_matches_natural_order_bit_for_bit() {
-        let bits = |z: &[f64]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let missing_diag = CsrMatrix::from_triplets(
+    fn bits(z: &[f64]) -> Vec<u64> {
+        z.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Row 0 stores no diagonal.
+    fn missing_diag() -> CsrMatrix {
+        CsrMatrix::from_triplets(
             3,
             3,
             &[
@@ -629,21 +765,142 @@ mod tests {
                 (2, 0, 1.0),
                 (2, 1, -1.0),
             ],
-        );
-        // In each triangle a two-read row on level 2 is read by a one-read
-        // row on level 3, so ordering by length before level breaks it.
-        let long_row_read_late = |s: f64| {
-            let mut t = vec![(1, 0, -1.0), (2, 0, -s), (2, 1, -1.0), (3, 2, -s)];
-            t.extend([(2, 3, -1.0), (1, 2, -s), (1, 3, -1.0), (0, 1, -s)]);
-            t.extend((0..4).map(|i| (i, i, 4.0 + i as f64)));
-            CsrMatrix::from_triplets(4, 4, &t)
+        )
+    }
+
+    /// In each triangle a two-read row on level 2 is read by a one-read
+    /// row on level 3, so ordering by length before level breaks it.
+    fn long_row_read_late(s: f64) -> CsrMatrix {
+        let mut t = vec![(1, 0, -1.0), (2, 0, -s), (2, 1, -1.0), (3, 2, -s)];
+        t.extend([(2, 3, -1.0), (1, 2, -s), (1, 3, -1.0), (0, 1, -s)]);
+        t.extend((0..4).map(|i| (i, i, 4.0 + i as f64)));
+        CsrMatrix::from_triplets(4, 4, &t)
+    }
+
+    /// Elimination zeroes row 1's pivot (`2 − 1·2`), so the guard sets it.
+    fn zero_pivot() -> CsrMatrix {
+        CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 1, 2.0),
+                (1, 0, 1.0),
+                (1, 1, 2.0),
+                (1, 2, 1.0),
+                (2, 1, 1.0),
+                (2, 2, 3.0),
+            ],
+        )
+    }
+
+    /// The union patterns of a 9×9 two-die stack's 4RM and 2RM systems
+    /// (`tests/data/two_die_9x9_patterns.txt`), with values that depend on
+    /// `(row, col)` and `scale`: a pivot that grows down the diagonal,
+    /// upwind-heavy couplings below it.
+    fn two_die_patterns(scale: f64) -> Vec<CsrMatrix> {
+        let text = include_str!("../tests/data/two_die_9x9_patterns.txt");
+        let mut matrices = Vec::new();
+        let mut rows: Vec<Vec<u32>> = Vec::new();
+        let mut finish = |rows: &mut Vec<Vec<u32>>| {
+            let mut t = Vec::new();
+            for (r, cols) in rows.iter().enumerate() {
+                for &c in cols {
+                    let v = if c as usize == r {
+                        4.0 + (r % 7) as f64 * 0.25
+                    } else {
+                        let w = 0.5 + ((r * 31 + c as usize * 17) % 11) as f64 / 10.0;
+                        if (c as usize) < r {
+                            -w * scale
+                        } else {
+                            -w / scale
+                        }
+                    };
+                    t.push((r as u32, c, v));
+                }
+            }
+            if !rows.is_empty() {
+                matrices.push(CsrMatrix::from_triplets(rows.len(), rows.len(), &t));
+            }
+            rows.clear();
         };
-        for (a, refreshed) in [
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            if line.starts_with("matrix") {
+                finish(&mut rows);
+            } else {
+                rows.push(line.split(' ').map(|c| c.parse().unwrap()).collect());
+            }
+        }
+        finish(&mut rows);
+        matrices
+    }
+
+    #[test]
+    fn two_die_fixture_holds_both_patterns() {
+        let sizes: Vec<_> = two_die_patterns(1.0)
+            .iter()
+            .map(|m| (m.rows(), m.nnz()))
+            .collect();
+        assert_eq!(sizes, [(486, 3024), (72, 378)]);
+    }
+
+    /// The factor the IKJ [`eliminate`] reference computes from `a` on
+    /// `ilu`'s pattern, after the scatter copy `refactor` used to make.
+    fn eliminated(ilu: &Ilu0, a: &CsrMatrix) -> Vec<f64> {
+        let mut values = vec![0.0; ilu.values.len()];
+        let identity: Vec<usize> = (0..a.nnz()).collect();
+        for (&slot, &v) in ilu
+            .a_slot
+            .as_ref()
+            .unwrap_or(&identity)
+            .iter()
+            .zip(a.values())
+        {
+            values[slot] = v;
+        }
+        let mut slot_of_col = vec![-1; ilu.dim];
+        eliminate(
+            &ilu.row_ptr,
+            &ilu.col_idx,
+            &ilu.diag_pos,
+            &mut values,
+            &mut slot_of_col,
+        );
+        assert!(slot_of_col.iter().all(|&s| s == -1));
+        values
+    }
+
+    #[test]
+    fn list_refactor_matches_ikj_elimination_bit_for_bit() {
+        let mut cases = vec![
             (tridiag(7), tridiag(7)),
             (grid(9, 7, 0.5), grid(9, 7, 3.0)),
             (long_row_read_late(0.5), long_row_read_late(2.0)),
-            (missing_diag.clone(), missing_diag),
-        ] {
+            (missing_diag(), missing_diag()),
+            (zero_pivot(), zero_pivot()),
+        ];
+        cases.extend(two_die_patterns(1.0).into_iter().zip(two_die_patterns(7.5)));
+        for (a, refreshed) in cases {
+            let mut ilu = Ilu0::new(&a);
+            assert_eq!(bits(&ilu.values), bits(&eliminated(&ilu, &a)));
+            ilu.refactor(&refreshed);
+            assert_eq!(bits(&ilu.values), bits(&eliminated(&ilu, &refreshed)));
+        }
+        // The guard fired: row 1's pivot is 1e-8 of its largest entry.
+        let ilu = Ilu0::new(&zero_pivot());
+        assert_eq!(ilu.values[ilu.diag_pos[1]], 1e-8);
+    }
+
+    #[test]
+    fn level_ordered_apply_matches_natural_order_bit_for_bit() {
+        let mut cases = vec![
+            (tridiag(7), tridiag(7)),
+            (grid(9, 7, 0.5), grid(9, 7, 3.0)),
+            (long_row_read_late(0.5), long_row_read_late(2.0)),
+            (missing_diag(), missing_diag()),
+        ];
+        cases.extend(two_die_patterns(1.0).into_iter().zip(two_die_patterns(7.5)));
+        for (a, refreshed) in cases {
             let n = a.rows();
             let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64 / 3.0).collect();
             let (mut z, mut z_ref) = (vec![0.0; n], vec![0.0; n]);
@@ -652,7 +909,6 @@ mod tests {
             ilu.apply_natural(&r, &mut z_ref);
             assert_eq!(bits(&z), bits(&z_ref));
             ilu.refactor(&refreshed);
-            assert!(ilu.slot_of_col.iter().all(|&s| s == -1));
             ilu.apply(&r, &mut z);
             ilu.apply_natural(&r, &mut z_ref);
             assert_eq!(bits(&z), bits(&z_ref));

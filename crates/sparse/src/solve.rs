@@ -247,6 +247,13 @@ pub fn cg(
 /// Preconditioned BiCGSTAB for general (nonsymmetric) systems — the thermal
 /// solves whose advection terms of Eq. (6) break symmetry.
 ///
+/// Each reduction is folded into the loop that produces its operand:
+/// `‖r‖²` and `r0·r` into the `r −= ω·t` update, `‖s‖²` into
+/// `s = r − α·v`, and `t·t` with `t·r` into one pass; both `x` updates
+/// ride along the `r −= ω·t` pass. Every sum still runs in index order
+/// from `-0.0`, as [`dot`] does, so the iterates are bit for bit those of
+/// the separate kernels.
+///
 /// # Errors
 ///
 /// Same error conditions as [`cg`].
@@ -273,6 +280,9 @@ pub fn bicgstab(
         *ri -= ti;
     }
     let r0 = r.clone();
+    // `‖r‖²` and `r0·r` of the current residual (equal while `r == r0`).
+    let mut rr = dot(&r, &r);
+    let mut r0r = rr;
 
     let mut rho = 1.0;
     let mut alpha = 1.0;
@@ -285,16 +295,19 @@ pub fn bicgstab(
     let max_iter = options.cap(n);
 
     for it in 0..max_iter {
-        let res = norm2(&r) / b_norm;
+        let res = rr.sqrt() / b_norm;
         if res <= options.tolerance {
             // The recursive residual can drift from the true residual; verify
             // before declaring victory, and keep iterating on the *true*
             // residual if it disagrees.
             a.mul_vec_into(&x, &mut tmp);
-            for ((ri, bi), ti) in r.iter_mut().zip(b).zip(&tmp) {
+            (rr, r0r) = (-0.0, -0.0);
+            for (((ri, bi), ti), r0i) in r.iter_mut().zip(b).zip(&tmp).zip(&r0) {
                 *ri = bi - ti;
+                rr += *ri * *ri;
+                r0r += r0i * *ri;
             }
-            let true_res = norm2(&r) / b_norm;
+            let true_res = rr.sqrt() / b_norm;
             if true_res <= options.tolerance * 10.0 {
                 return Ok(Solution {
                     solution: x,
@@ -306,7 +319,7 @@ pub fn bicgstab(
                 });
             }
         }
-        let rho_next = dot(&r0, &r);
+        let rho_next = r0r;
         if rho_next.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
@@ -323,9 +336,13 @@ pub fn bicgstab(
             return Err(SolveError::Breakdown { iterations: it });
         }
         alpha = rho / r0v;
-        // s = r - alpha * v (reuse r as s)
-        axpy(-alpha, &v, &mut r);
-        if norm2(&r) / b_norm <= options.tolerance {
+        // s = r - alpha * v (reuse r as s), with ‖s‖².
+        let mut ss = -0.0;
+        for (ri, vi) in r.iter_mut().zip(&v) {
+            *ri += -alpha * vi;
+            ss += *ri * *ri;
+        }
+        if ss.sqrt() / b_norm <= options.tolerance {
             // Early exit on the half-step. Verify with the true residual; if
             // it disagrees (recursive-residual drift), undo and continue.
             axpy(alpha, &p_hat, &mut x);
@@ -349,21 +366,33 @@ pub fn bicgstab(
         }
         m.apply(&r, &mut s_hat);
         a.mul_vec_into(&s_hat, &mut t);
-        let tt = dot(&t, &t);
+        let (mut tt, mut tr) = (-0.0, -0.0);
+        for (ti, ri) in t.iter().zip(&r) {
+            tt += ti * ti;
+            tr += ti * ri;
+        }
         if tt.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
-        omega = dot(&t, &r) / tt;
-        axpy(alpha, &p_hat, &mut x);
-        axpy(omega, &s_hat, &mut x);
-        // r = s - omega * t
-        axpy(-omega, &t, &mut r);
+        omega = tr / tt;
+        // x += alpha * p_hat + omega * s_hat (two rounded adds, as two
+        // axpys make) and r = s - omega * t, with ‖r‖² and r0·r for the
+        // next iteration.
+        (rr, r0r) = (-0.0, -0.0);
+        let xs = x.iter_mut().zip(&p_hat).zip(&s_hat);
+        for (((xi, ph), sh), ((ri, ti), r0i)) in xs.zip(r.iter_mut().zip(&t).zip(&r0)) {
+            *xi += alpha * ph;
+            *xi += omega * sh;
+            *ri += -omega * ti;
+            rr += *ri * *ri;
+            r0r += r0i * *ri;
+        }
         if omega.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
     }
 
-    let res = norm2(&r) / b_norm;
+    let res = rr.sqrt() / b_norm;
     if res <= options.tolerance {
         Ok(Solution {
             solution: x,
@@ -386,6 +415,150 @@ mod tests {
     use super::*;
     use crate::coo::TripletBuilder;
     use crate::precond::{Identity, Ilu0, Jacobi};
+
+    /// How often [`bicgstab_unfused`] took each half-step branch.
+    #[derive(Debug, Default)]
+    struct Exits {
+        half_step: usize,
+        rejected_half_steps: usize,
+    }
+
+    /// BiCGSTAB with one kernel call per reduction and update: the loop
+    /// [`bicgstab`] fuses, kept as the reference it must match bit for
+    /// bit. `exits` records which half-step branches ran.
+    fn bicgstab_unfused(
+        a: &CsrMatrix,
+        b: &[f64],
+        m: &dyn Preconditioner,
+        options: &SolverOptions,
+        exits: &mut Exits,
+    ) -> Result<Solution, SolveError> {
+        let n = check_square(a, b)?;
+        let b_norm = norm2(b);
+        if b_norm == 0.0 {
+            return Ok(Solution {
+                solution: vec![0.0; n],
+                stats: SolveStats::default(),
+            });
+        }
+
+        let mut x = options.guess(n)?;
+        let mut r = b.to_vec();
+        let mut tmp = vec![0.0; n];
+        a.mul_vec_into(&x, &mut tmp);
+        for (ri, ti) in r.iter_mut().zip(&tmp) {
+            *ri -= ti;
+        }
+        let r0 = r.clone();
+
+        let mut rho = 1.0;
+        let mut alpha = 1.0;
+        let mut omega = 1.0;
+        let mut v = vec![0.0; n];
+        let mut p = vec![0.0; n];
+        let mut p_hat = vec![0.0; n];
+        let mut s_hat = vec![0.0; n];
+        let mut t = vec![0.0; n];
+        let max_iter = options.cap(n);
+
+        for it in 0..max_iter {
+            let res = norm2(&r) / b_norm;
+            if res <= options.tolerance {
+                // The recursive residual can drift from the true residual; verify
+                // before declaring victory, and keep iterating on the *true*
+                // residual if it disagrees.
+                a.mul_vec_into(&x, &mut tmp);
+                for ((ri, bi), ti) in r.iter_mut().zip(b).zip(&tmp) {
+                    *ri = bi - ti;
+                }
+                let true_res = norm2(&r) / b_norm;
+                if true_res <= options.tolerance * 10.0 {
+                    return Ok(Solution {
+                        solution: x,
+                        stats: SolveStats {
+                            iterations: it,
+                            residual: true_res,
+                            ..SolveStats::default()
+                        },
+                    });
+                }
+            }
+            let rho_next = dot(&r0, &r);
+            if rho_next.abs() < 1e-300 {
+                return Err(SolveError::Breakdown { iterations: it });
+            }
+            let beta = (rho_next / rho) * (alpha / omega);
+            rho = rho_next;
+            // p = r + beta * (p - omega * v)
+            for i in 0..n {
+                p[i] = r[i] + beta * (p[i] - omega * v[i]);
+            }
+            m.apply(&p, &mut p_hat);
+            a.mul_vec_into(&p_hat, &mut v);
+            let r0v = dot(&r0, &v);
+            if r0v.abs() < 1e-300 {
+                return Err(SolveError::Breakdown { iterations: it });
+            }
+            alpha = rho / r0v;
+            // s = r - alpha * v (reuse r as s)
+            axpy(-alpha, &v, &mut r);
+            if norm2(&r) / b_norm <= options.tolerance {
+                // Early exit on the half-step. Verify with the true residual; if
+                // it disagrees (recursive-residual drift), undo and continue.
+                axpy(alpha, &p_hat, &mut x);
+                a.mul_vec_into(&x, &mut tmp);
+                let mut true_sq = 0.0;
+                for (bi, ti) in b.iter().zip(&tmp) {
+                    true_sq += (bi - ti) * (bi - ti);
+                }
+                let res = true_sq.sqrt() / b_norm;
+                if res <= options.tolerance * 10.0 {
+                    exits.half_step += 1;
+                    return Ok(Solution {
+                        solution: x,
+                        stats: SolveStats {
+                            iterations: it + 1,
+                            residual: res,
+                            ..SolveStats::default()
+                        },
+                    });
+                }
+                exits.rejected_half_steps += 1;
+                axpy(-alpha, &p_hat, &mut x);
+            }
+            m.apply(&r, &mut s_hat);
+            a.mul_vec_into(&s_hat, &mut t);
+            let tt = dot(&t, &t);
+            if tt.abs() < 1e-300 {
+                return Err(SolveError::Breakdown { iterations: it });
+            }
+            omega = dot(&t, &r) / tt;
+            axpy(alpha, &p_hat, &mut x);
+            axpy(omega, &s_hat, &mut x);
+            // r = s - omega * t
+            axpy(-omega, &t, &mut r);
+            if omega.abs() < 1e-300 {
+                return Err(SolveError::Breakdown { iterations: it });
+            }
+        }
+
+        let res = norm2(&r) / b_norm;
+        if res <= options.tolerance {
+            Ok(Solution {
+                solution: x,
+                stats: SolveStats {
+                    iterations: max_iter,
+                    residual: res,
+                    ..SolveStats::default()
+                },
+            })
+        } else {
+            Err(SolveError::NotConverged {
+                iterations: max_iter,
+                residual: res,
+            })
+        }
+    }
 
     /// 1-D Poisson matrix, the classic SPD test problem.
     fn poisson(n: usize) -> CsrMatrix {
@@ -480,6 +653,79 @@ mod tests {
             cg(&a, &b, &Identity::new(100), &opts),
             Err(SolveError::NotConverged { iterations: 2, .. })
         ));
+    }
+
+    /// Nonsymmetric 5-point operator on an `nx × ny` grid, natural order
+    /// x fastest; `skew` scales the upwind (west and south) couplings.
+    fn grid(nx: usize, ny: usize, skew: f64) -> CsrMatrix {
+        let mut b = TripletBuilder::new(nx * ny, nx * ny);
+        for y in 0..ny {
+            for x in 0..nx {
+                let i = y * nx + x;
+                b.add(i, i, 4.0 + skew);
+                if x > 0 {
+                    b.add(i, i - 1, -1.0 - skew);
+                }
+                if x + 1 < nx {
+                    b.add(i, i + 1, -1.0);
+                }
+                if y > 0 {
+                    b.add(i, i - nx, -0.5 - skew);
+                }
+                if y + 1 < ny {
+                    b.add(i, i + nx, -0.5);
+                }
+            }
+        }
+        b.to_csr()
+    }
+
+    #[test]
+    fn fused_bicgstab_matches_unfused_bit_for_bit() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut exits = Exits::default();
+        let mut runs = 0;
+        for a in [
+            advection(60, 1.5),
+            advection(40, 10.0),
+            grid(12, 9, 0.5),
+            grid(12, 9, 4.0),
+        ] {
+            let n = a.rows();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+            let ilu = Ilu0::new(&a);
+            let jacobi = Jacobi::new(&a);
+            let identity = Identity::new(n);
+            let preconds: [&dyn Preconditioner; 3] = [&ilu, &jacobi, &identity];
+            // Loose to unreachable tolerances, the last one capped: a
+            // recursive residual under 1e-18 is far below what the true
+            // residual can reach, so its half steps are rejected.
+            for (tolerance, max_iterations) in [(1e-10, 0), (1e-6, 0), (1e-2, 0), (1e-18, 40)] {
+                for guess in [None, Some(vec![0.5; n])] {
+                    let options = SolverOptions {
+                        tolerance,
+                        max_iterations,
+                        initial_guess: guess,
+                    };
+                    for &m in &preconds {
+                        let fused = bicgstab(&a, &b, m, &options);
+                        let plain = bicgstab_unfused(&a, &b, m, &options, &mut exits);
+                        match (&fused, &plain) {
+                            (Ok(f), Ok(p)) => {
+                                assert_eq!(bits(&f.solution), bits(&p.solution));
+                                assert_eq!(f.stats.iterations, p.stats.iterations);
+                                assert_eq!(f.stats.residual.to_bits(), p.stats.residual.to_bits());
+                            }
+                            _ => assert_eq!(format!("{fused:?}"), format!("{plain:?}")),
+                        }
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(runs, 96);
+        assert!(exits.half_step > 0, "{exits:?}");
+        assert!(exits.rejected_half_steps > 0, "{exits:?}");
     }
 
     #[test]

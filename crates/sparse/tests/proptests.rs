@@ -185,7 +185,36 @@ fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A random shape plus up to 120 coordinates inside it, duplicates and
+/// empty rows included.
+fn coordinates() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32)>)> {
+    (1usize..30, 1usize..30).prop_flat_map(|(rows, cols)| {
+        let coords = proptest::collection::vec((0..rows as u32, 0..cols as u32), 0..120);
+        (Just(rows), Just(cols), coords)
+    })
+}
+
 proptest! {
+    #[test]
+    fn pattern_with_slots_matches_from_triplets((rows, cols, coords) in coordinates()) {
+        let (mut m, slots) = CsrMatrix::pattern_with_slots(rows, cols, coords.iter().copied());
+        prop_assert!(m.values().iter().all(|v| v.to_bits() == 0));
+        prop_assert_eq!(slots.len(), coords.len());
+        for (&(r, c), &s) in coords.iter().zip(&slots) {
+            let row = m.row_ptr()[r as usize]..m.row_ptr()[r as usize + 1];
+            prop_assert!(row.contains(&s));
+            prop_assert_eq!(m.col_indices()[s], c);
+        }
+        // Nonzero placeholders cannot cancel, so `from_triplets` keeps
+        // every coordinate; with its values copied in, the two matrices
+        // (shape, pattern and row runs) are equal.
+        let triplets: Vec<_> = coords.iter().map(|&(r, c)| (r, c, 1.0)).collect();
+        let want = CsrMatrix::from_triplets(rows, cols, &triplets);
+        prop_assert_eq!(m.nnz(), want.nnz());
+        m.values_mut().copy_from_slice(want.values());
+        prop_assert_eq!(m, want);
+    }
+
     #[test]
     fn dense_rung_matches_dense_lu_bit_for_bit((a, b) in banded_system(80)) {
         // The direct step, non-finite results included: the finiteness

@@ -81,33 +81,30 @@ pub(crate) struct SplitSystem {
 }
 
 impl SplitSystem {
-    /// Builds the union pattern and the slot split of `asm`'s couplings;
-    /// the matrix values are left at placeholders until
-    /// [`write`](Self::write).
+    /// Builds the union pattern of `asm`'s couplings and their slot split;
+    /// the matrix values stay zero until [`write`](Self::write).
+    ///
+    /// One counting pass ([`CsrMatrix::pattern_with_slots`]) gives the
+    /// pattern and every coupling's slot. No coupling is dropped, even
+    /// where real coefficients cancel at some pressure. Each list is then
+    /// added into its slots in the couplings' own order, the summation
+    /// order that fixes the value bits.
     pub fn new(asm: &Assembled) -> Self {
-        // Union pattern over conduction and advection couplings, assembled
-        // with all-positive placeholder values: `from_triplets` drops
-        // entries that cancel to exactly zero, and real coefficient pairs
-        // can cancel at specific pressures, so the pattern must be built
-        // from values that cannot cancel.
-        let mut b =
-            TripletBuilder::with_capacity(asm.n, asm.n, asm.cond.len() + asm.adv_unit.len());
-        for &(r, c, _) in asm.cond.iter().chain(&asm.adv_unit) {
-            b.add(r as usize, c as usize, 1.0);
-        }
-        let matrix = b.to_csr();
+        let coords = asm
+            .cond
+            .iter()
+            .chain(&asm.adv_unit)
+            .map(|&(r, c, _)| (r, c));
+        let (matrix, slots) = CsrMatrix::pattern_with_slots(asm.n, asm.n, coords);
+        let (cond_slots, adv_slots) = slots.split_at(asm.cond.len());
         let nnz = matrix.nnz();
         let mut base_values = vec![0.0; nnz];
         let mut adv_values = vec![0.0; nnz];
-        for &(r, c, v) in &asm.cond {
-            if let Some(s) = matrix.slot(r as usize, c as usize) {
-                base_values[s] += v;
-            }
+        for (&s, &(_, _, v)) in cond_slots.iter().zip(&asm.cond) {
+            base_values[s] += v;
         }
-        for &(r, c, v) in &asm.adv_unit {
-            if let Some(s) = matrix.slot(r as usize, c as usize) {
-                adv_values[s] += v;
-            }
+        for (&s, &(_, _, v)) in adv_slots.iter().zip(&asm.adv_unit) {
+            adv_values[s] += v;
         }
         Self {
             matrix,
@@ -698,6 +695,17 @@ mod tests {
 
     /// A 9×9 single-die 4RM stack with straight channels on even rows.
     fn four_rm_9x9() -> crate::Simulator {
+        crate::Simulator::new(
+            &stack_9x9(1),
+            crate::ModelChoice::FourRm,
+            &ThermalConfig::default(),
+        )
+        .unwrap()
+    }
+
+    /// A 9×9 interlayer stack of `dies` uniformly powered dies, with
+    /// straight channels on the even rows shared by every channel layer.
+    fn stack_9x9(dies: usize) -> crate::Stack {
         use coolnet_grid::{Cell, Dir, Side};
         use coolnet_network::{CoolingNetwork, PortKind};
         let dims = GridDims::new(9, 9);
@@ -707,16 +715,85 @@ mod tests {
         }
         b.port(PortKind::Inlet, Side::West, 0, 8);
         b.port(PortKind::Outlet, Side::East, 0, 8);
-        let power = crate::PowerMap::uniform(dims, 3.0);
-        let stack =
-            crate::Stack::interlayer(dims, 100e-6, vec![power], &[b.build().unwrap()], 200e-6)
-                .unwrap();
-        crate::Simulator::new(
-            &stack,
+        let maps = vec![crate::PowerMap::uniform(dims, 3.0); dies];
+        crate::Stack::interlayer(dims, 100e-6, maps, &[b.build().unwrap()], 200e-6).unwrap()
+    }
+
+    /// The two-die stack's systems under 4RM and 2RM (m = 3).
+    fn two_die_systems() -> Vec<crate::Simulator> {
+        let stack = stack_9x9(2);
+        [
             crate::ModelChoice::FourRm,
-            &ThermalConfig::default(),
-        )
-        .unwrap()
+            crate::ModelChoice::TwoRm { m: 3 },
+        ]
+        .into_iter()
+        .map(|model| crate::Simulator::new(&stack, model, &ThermalConfig::default()).unwrap())
+        .collect()
+    }
+
+    /// The split `SplitSystem::new` used to build: the union pattern from
+    /// all-positive placeholders through `from_triplets`, then one binary
+    /// search per coupling. The reference the counting pass must match.
+    fn split_by_lookup(asm: &Assembled) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
+        let mut b =
+            TripletBuilder::with_capacity(asm.n, asm.n, asm.cond.len() + asm.adv_unit.len());
+        for &(r, c, _) in asm.cond.iter().chain(&asm.adv_unit) {
+            b.add(r as usize, c as usize, 1.0);
+        }
+        let matrix = b.to_csr();
+        let nnz = matrix.nnz();
+        let mut base_values = vec![0.0; nnz];
+        let mut adv_values = vec![0.0; nnz];
+        for &(r, c, v) in &asm.cond {
+            if let Some(s) = matrix.slot(r as usize, c as usize) {
+                base_values[s] += v;
+            }
+        }
+        for &(r, c, v) in &asm.adv_unit {
+            if let Some(s) = matrix.slot(r as usize, c as usize) {
+                adv_values[s] += v;
+            }
+        }
+        (matrix, base_values, adv_values)
+    }
+
+    #[test]
+    fn split_system_matches_lookup_split_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let single = four_rm_9x9();
+        let sims = two_die_systems();
+        for sim in sims.iter().chain([&single]) {
+            let asm = &sim.assembled;
+            let split = SplitSystem::new(asm);
+            let (matrix, base, adv) = split_by_lookup(asm);
+            assert_eq!(split.matrix.row_ptr(), matrix.row_ptr());
+            assert_eq!(split.matrix.col_indices(), matrix.col_indices());
+            assert_eq!(bits(&split.base_values), bits(&base));
+            assert_eq!(bits(&split.adv_values), bits(&adv));
+        }
+    }
+
+    #[test]
+    fn two_die_patterns_match_the_sparse_fixture() {
+        // coolnet-sparse's ILU(0) tests factor these patterns; keep them
+        // in step with what the stack assembles.
+        let fixture = include_str!("../../sparse/tests/data/two_die_9x9_patterns.txt");
+        let mut want = String::new();
+        for (name, sim) in ["4rm", "2rm"].iter().zip(two_die_systems()) {
+            let m = SplitSystem::new(&sim.assembled).matrix;
+            want += &format!("matrix {name} {}\n", m.rows());
+            for r in 0..m.rows() {
+                let cols: Vec<String> = m.row(r).0.iter().map(|c| c.to_string()).collect();
+                want += &cols.join(" ");
+                want += "\n";
+            }
+        }
+        let got: String = fixture
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        assert_eq!(got, want);
     }
 
     /// Probes `asm` through its cache at each pressure in turn.
