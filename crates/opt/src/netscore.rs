@@ -178,11 +178,24 @@ fn feasible_p1(ev: &Evaluator, p_sys: Pascal, profile: Profile) -> NetworkScore 
 /// Problem-2 network evaluation: minimum `ΔT` under the pumping budget
 /// `W*_pump` and the `T*_max` constraint (Eq. (13)).
 ///
-/// The budget converts to a pressure cap `P*_sys` via Eq. (10). If `f` is
-/// still falling at `P*_sys`, the cap itself is optimal (§5); otherwise a
-/// golden-section search locates the minimum of the uni-modal `f` inside
-/// the feasible pressure window, whose floor is the least pressure above
-/// `P*_sys/256` meeting `T*_max` ([`min_pressure_for_peak`]).
+/// The steps of §5, each pressure solved at most once per evaluation:
+///
+/// 1. The budget becomes a pressure cap `P*_sys` by Eq. (10). `T_max`
+///    does not increase with `P_sys` (§4.1), so if the cap violates
+///    `T*_max`, no lower pressure meets it: infeasible.
+/// 2. `ΔT = f(P_sys)` is uni-modal or decreasing (§4.1). If `f` is still
+///    falling at the cap (`f(0.95·P*_sys) ≥ f(P*_sys)`), the cap is the
+///    answer.
+/// 3. Otherwise the minimum lies left of the cap, and the golden section
+///    ([`golden_min`]) finds it over `[P*_sys/256, P*_sys]` at the
+///    resolution `δ` ([`RESOLUTION`](crate::psearch::RESOLUTION)).
+/// 4. Only if that minimizer violates `T*_max` does
+///    [`min_pressure_for_peak`] run, from the minimizer up: `T_max` falls
+///    with pressure while `f` rises right of its minimum, so the optimum of
+///    Eq. (13) is then `p_T`, the least pressure meeting `T*_max` (the
+///    repair of Algorithm 2's lines 3–5). A `p_T` at or beyond the cap
+///    leaves the cap as the answer.
+/// 5. `T*_max` is re-verified at the answer; the cap answers if it fails.
 ///
 /// # Errors
 ///
@@ -198,11 +211,18 @@ pub fn evaluate_problem2(
     if t_max_limit <= ev.inlet_temperature() {
         return Ok(NetworkScore::Infeasible);
     }
-    let mut probed = Probed::new(ev);
-    let p_star = ev.pressure_for_power(w_pump_limit);
+    problem2(&mut Probed::new(ev), w_pump_limit, t_max_limit, opts)
+}
+
+/// Steps 1–5 of [`evaluate_problem2`], solving through `probed`.
+fn problem2(
+    probed: &mut Probed<'_>,
+    w_pump_limit: Watt,
+    t_max_limit: Kelvin,
+    opts: &PressureSearchOptions,
+) -> Result<NetworkScore, ThermalError> {
+    let p_star = probed.ev.pressure_for_power(w_pump_limit);
     let prof_star = probed.profile(p_star)?;
-    // T_max decreases with pressure: if even the cap violates it, no
-    // smaller pressure can help.
     if prof_star.t_max > t_max_limit {
         return Ok(NetworkScore::Infeasible);
     }
@@ -211,32 +231,27 @@ pub fn evaluate_problem2(
         objective: prof_star.delta_t.value(),
         profile: prof_star,
     };
-    // Falling-side test: probe slightly left of the cap.
     let prof_probe = probed.profile(Pascal::new(p_star.value() * 0.95))?;
     if prof_probe.delta_t.value() >= prof_star.delta_t.value() {
-        // f still falling at the cap: the cap is optimal.
-        return Ok(at_cap);
-    }
-    // Otherwise the minimum sits left of the cap. The feasible window is
-    // bounded below by the T*_max constraint (h monotone).
-    let p_floor =
-        match probed.peak_search(t_max_limit, Pascal::new(p_star.value() / 256.0), opts)? {
-            Some(p) => p.value().min(p_star.value()),
-            None => p_star.value(), // only the cap itself is feasible
-        };
-    if p_floor >= p_star.value() * 0.999 {
         return Ok(at_cap);
     }
     let mut f = |p: Pascal| probed.profile(p).map(|pr| pr.delta_t.value());
-    let (p_best, dt_best) = golden_min(&mut f, Pascal::new(p_floor), p_star, opts)?;
-    let profile = probed.profile(p_best)?;
-    // Guard: golden section assumed uni-modality; re-verify constraints.
+    let (mut p, _) = golden_min(&mut f, Pascal::new(p_star.value() / 256.0), p_star, opts)?;
+    let mut profile = probed.profile(p)?;
+    if profile.t_max > t_max_limit {
+        p = match probed.peak_search(t_max_limit, p, opts)? {
+            Some(p_t) if p_t < p_star => p_t,
+            _ => return Ok(at_cap),
+        };
+        profile = probed.profile(p)?;
+    }
+    // The searches assumed uni-modal `f` and monotone `T_max`.
     if profile.t_max > t_max_limit {
         return Ok(at_cap);
     }
     Ok(NetworkScore::Feasible {
-        p_sys: p_best,
-        objective: dt_best,
+        p_sys: p,
+        objective: profile.delta_t.value(),
         profile,
     })
 }
@@ -454,23 +469,140 @@ mod tests {
         assert_eq!(ev.probe_count(), 1);
         probed.profile(Pascal::new(60.0)).unwrap();
         assert_eq!(ev.probe_count(), 2);
+        // Problem 2 solves through one `Probed`: every profile it takes is
+        // at a pressure of its own, with and without the T_max repair (a
+        // T*_max met from 0.9 × cap up, above the ΔT minimizer).
+        for model in [ModelChoice::fast(), ModelChoice::FourRm] {
+            let ev = Evaluator::new(&bench, &net, model).unwrap();
+            let p_repair = Pascal::new(ev.pressure_for_power(bench.w_pump_limit()).value() * 0.9);
+            for t_max_limit in [bench.t_max_limit, ev.profile(p_repair).unwrap().t_max] {
+                let ev = Evaluator::new(&bench, &net, model).unwrap();
+                let mut probed = Probed::new(&ev);
+                problem2(&mut probed, bench.w_pump_limit(), t_max_limit, &opts()).unwrap();
+                assert!(ev.probe_count() > 2, "{model:?} at {t_max_limit}");
+                assert_eq!(
+                    ev.probe_count(),
+                    probed.seen.len(),
+                    "{model:?} at {t_max_limit}"
+                );
+            }
+        }
     }
 
     #[test]
     fn problem2_golden_answer_is_not_solved_again() {
-        // Case 1 runs golden section in both models. Its window floor now
-        // comes from the T_max search, and the profile at golden
-        // section's answer is the one it probed: the evaluation takes
-        // fewer profiles than the 25 (2RM) and 24 (4RM) it took with the
-        // doubling search from p*/256 and a final re-solve.
+        // Case 1 runs the golden section in both models, and its answer
+        // meets T*_max: the evaluation takes the cap, 0.95 × cap and the
+        // golden section's probes, and reads the answer's profile from
+        // them. It took 25 (2RM) and 24 (4RM) profiles with a doubling
+        // T_max search for the window floor and a final re-solve, and 17
+        // and 16 with the energy-floored T_max search before the golden
+        // section.
         let (bench, net) = setup(1);
-        for (model, parent) in [(ModelChoice::fast(), 25), (ModelChoice::FourRm, 24)] {
+        for (model, most) in [(ModelChoice::fast(), 13), (ModelChoice::FourRm, 10)] {
             let ev = Evaluator::new(&bench, &net, model).unwrap();
             let score =
                 evaluate_problem2(&ev, bench.w_pump_limit(), bench.t_max_limit, &opts()).unwrap();
-            assert!(score.is_feasible(), "{model:?}: {score:?}");
+            let NetworkScore::Feasible { p_sys, .. } = score else {
+                panic!("{model:?}: {score:?}");
+            };
+            // The same solves, replayed by hand on a fresh evaluator.
+            let replay = Evaluator::new(&bench, &net, model).unwrap();
+            let p_star = replay.pressure_for_power(bench.w_pump_limit());
+            replay.profile(p_star).unwrap();
+            replay.profile(Pascal::new(p_star.value() * 0.95)).unwrap();
+            let mut f = |p: Pascal| replay.profile(p).map(|pr| pr.delta_t.value());
+            let (p, _) =
+                golden_min(&mut f, Pascal::new(p_star.value() / 256.0), p_star, &opts()).unwrap();
+            assert_eq!(p, p_sys, "{model:?}");
             let n = ev.probe_count();
-            assert!(n < parent, "{model:?}: {n} profiles, not under {parent}");
+            assert_eq!(
+                n,
+                replay.probe_count(),
+                "{model:?}: the answer was solved again"
+            );
+            assert!(n <= most, "{model:?}: {n} profiles > {most}");
+        }
+    }
+
+    #[test]
+    fn problem2_profile_counts() {
+        // Profiles per P2 evaluation on the ICCAD cases at 21×21. Cases
+        // 2–5 end at the cap after 2. Case 1 runs the golden section,
+        // which stops at the resolution δ or at rel_tol; with the T_max
+        // window floor searched first and only the rel_tol stop it took 17
+        // (2RM) and 16 (4RM). The answer's ΔT is within
+        // δ of the best of 64 log-spaced pressures over the feasible window
+        // [max(P*/256, p_T), P*].
+        let delta = crate::psearch::RESOLUTION.value();
+        for (model, searched) in [(ModelChoice::fast(), 13), (ModelChoice::FourRm, 10)] {
+            for case in 1..=5 {
+                let (bench, net) = setup(case);
+                let ev = Evaluator::new(&bench, &net, model).unwrap();
+                let limit = bench.t_max_limit;
+                let score = evaluate_problem2(&ev, bench.w_pump_limit(), limit, &opts()).unwrap();
+                let NetworkScore::Feasible { objective, .. } = score else {
+                    panic!("{model:?} case {case} must be feasible: {score:?}");
+                };
+                let n = ev.probe_count();
+                let most = if case == 1 { searched } else { 2 };
+                assert!(n <= most, "{model:?} case {case}: {n} profiles > {most}");
+
+                let scan = Evaluator::new(&bench, &net, model).unwrap();
+                let p_star = scan.pressure_for_power(bench.w_pump_limit()).value();
+                let p_t = Probed::new(&scan)
+                    .peak_search(limit, Pascal::new(0.0), &opts())
+                    .unwrap()
+                    .unwrap()
+                    .value();
+                let lo = (p_star / 256.0).max(p_t);
+                let best = (0..64)
+                    .map(|k| lo * (p_star / lo).powf(f64::from(k) / 63.0))
+                    .map(|p| scan.profile(Pascal::new(p)).unwrap())
+                    .filter(|pr| pr.t_max <= limit)
+                    .map(|pr| pr.delta_t.value())
+                    .fold(f64::INFINITY, f64::min);
+                assert!(
+                    objective <= best + delta,
+                    "{model:?} case {case}: ΔT {objective} vs scan best {best}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn problem2_tmax_bound_minimum_returns_p_t() {
+        // A T*_max that the ΔT minimizer p_f violates and that is met from
+        // halfway to the cap up: ΔT rises right of p_f, so the answer is
+        // p_T, the least pressure meeting T*_max, found by the T_max search
+        // from p_f.
+        let (bench, net) = setup(1);
+        for model in [ModelChoice::fast(), ModelChoice::FourRm] {
+            let ev = Evaluator::new(&bench, &net, model).unwrap();
+            let free =
+                evaluate_problem2(&ev, bench.w_pump_limit(), bench.t_max_limit, &opts()).unwrap();
+            let NetworkScore::Feasible { p_sys: p_f, .. } = free else {
+                panic!("{model:?}: {free:?}");
+            };
+            let p_limit = 0.5 * (p_f.value() + ev.pressure_for_power(bench.w_pump_limit()).value());
+            let limit = ev.profile(Pascal::new(p_limit)).unwrap().t_max;
+            let ev = Evaluator::new(&bench, &net, model).unwrap();
+            let score = evaluate_problem2(&ev, bench.w_pump_limit(), limit, &opts()).unwrap();
+            let NetworkScore::Feasible {
+                p_sys,
+                objective,
+                profile,
+            } = score
+            else {
+                panic!("{model:?}: {score:?}");
+            };
+            let p = p_sys.value();
+            assert!(profile.t_max <= limit, "{model:?}: {profile:?}");
+            assert!(
+                p >= p_limit * (1.0 - 1e-3) && p <= p_limit / (1.0 - opts().rel_tol),
+                "{model:?}: p = {p} vs p_T = {p_limit}"
+            );
+            assert!(objective > free.objective(), "{model:?}: {objective}");
         }
     }
 }

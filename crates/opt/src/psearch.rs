@@ -17,6 +17,14 @@
 //! bracket there: the outlet part of `T_max − T_in` is exactly
 //! `(T*_max − T_in)·P_lb/P_sys`, so a secant in `1/P_sys` reaches the
 //! `T*_max` crossing in a few probes.
+//!
+//! Problem 2 (Eq. (13), §5) minimizes `ΔT` under the pump cap `P*_sys`.
+//! [`golden_min`] is §5's golden section of `f` over `[P*_sys/256,
+//! P*_sys]`, and [`min_pressure_for_peak`] from its answer up gives `p_T`
+//! when that answer violates `T*_max`
+//! ([`evaluate_problem2`](crate::netscore::evaluate_problem2) orders the
+//! steps). The golden section compares and stops at the decision
+//! resolution `δ` = [`RESOLUTION`], not only at `rel_tol` in pressure.
 
 use coolnet_obs::LazyCounter;
 use coolnet_thermal::ThermalError;
@@ -24,6 +32,12 @@ use coolnet_units::{Kelvin, Pascal};
 
 /// Simulator probes consumed across every pressure search in this module.
 static M_PROBES: LazyCounter = LazyCounter::new("psearch.probes");
+
+/// The decision resolution `δ` of the `ΔT` searches: probes whose `ΔT`
+/// differ by at most `δ` are not told apart. Two converged solves of one
+/// 4RM system from different initial iterates differ by up to 6e-4 K at
+/// 21×21, so a smaller `δ` would let the solver tolerance decide.
+pub const RESOLUTION: Kelvin = Kelvin::new(1e-3);
 
 /// Options for [`minimize_pressure_for_gradient`] (Algorithm 3) and the
 /// other searches.
@@ -233,8 +247,8 @@ pub fn minimize_pressure_for_gradient(
 }
 
 /// The peak-temperature search: the least `P_sys ≥ p_min` with `h(P_sys) ≤
-/// limit`, to within `opts.rel_tol` (used for Algorithm 2's `T*_max`
-/// constraint and Problem 2's window floor).
+/// limit`, to within `opts.rel_tol` (used for the `T*_max` constraint of
+/// Algorithm 2 and of Problem 2).
 ///
 /// `h` is `T_max` as a function of pressure, which does not increase with
 /// `P_sys` (§4.1). The search starts from the energy floor `floor = P_lb`
@@ -373,9 +387,24 @@ pub fn min_pressure_for_peak(
 }
 
 /// Golden-section minimization of a uni-modal `f` over `[lo, hi]` (§5:
-/// "golden section search is adopted to find the minimum f").
+/// "golden section search is adopted to find the minimum f"), decided at
+/// the resolution `δ` = [`RESOLUTION`].
 ///
-/// Returns `(p, f(p))` at the located minimum.
+/// The bracket `[a, b]` holds a kept probe `x`, and each step probes the
+/// larger side of it, the share `2 − φ` of the way from `x` to the end. The
+/// new probe `u` takes the place of `x` when `f(u) < f(x) − δ`, or when
+/// `u < x` and `f(u)` is within `δ` of the least `f` probed: a flat pair
+/// goes to the lower-pressure side, where the same `ΔT` costs less pumping
+/// power, and `f(x)` stays within `δ` of the least `f`. Of `u` and `x`, the
+/// one not kept becomes the bracket end on its side.
+///
+/// The search stops when both ends are probed and agree with `f(x)` within
+/// `δ`, when the bracket is narrower than `rel_tol` of its upper end, or at
+/// the probe budget. While every probe agrees within `δ`, an unprobed end
+/// is probed once the other end is known, so that a plateau stops after
+/// three probes. Every probe lies in `[lo, hi]`, and none is repeated.
+///
+/// Returns the least probe `(p, f(p))`.
 ///
 /// # Errors
 ///
@@ -387,7 +416,7 @@ pub fn golden_min(
     hi: Pascal,
     opts: &PressureSearchOptions,
 ) -> Result<(Pascal, f64), ThermalError> {
-    const INV_PHI: f64 = 0.618_033_988_749_894_8;
+    const GOLD: f64 = 0.381_966_011_250_105_2;
     let mut probe = Probe {
         f,
         count: 0,
@@ -399,30 +428,49 @@ pub fn golden_min(
             reason: format!("golden_min needs 0 < lo < hi, got [{a}, {b}]"),
         });
     }
-    let mut c = b - (b - a) * INV_PHI;
-    let mut d = a + (b - a) * INV_PHI;
-    let mut fc = probe.eval(c)?;
-    let mut fd = probe.eval(d)?;
-    while (b - a) / b > opts.rel_tol && !probe.exhausted() {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - (b - a) * INV_PHI;
-            fc = probe.eval(c)?;
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + (b - a) * INV_PHI;
-            fd = probe.eval(d)?;
+    let delta = RESOLUTION.value();
+    let (mut fa, mut fb) = (None, None);
+    let mut x = a + GOLD * (b - a);
+    let mut fx = probe.eval(x)?;
+    // The least f probed, with its pressure, and the largest.
+    let (mut best, mut most) = ((x, fx), fx);
+    loop {
+        let agree = |end: Option<f64>| end.is_some_and(|e: f64| (e - fx).abs() <= delta);
+        if (agree(fa) && agree(fb)) || b - a <= opts.rel_tol * b || probe.exhausted() {
+            return Ok((Pascal::new(best.0), best.1));
         }
+        let (u, fu) = if most - best.1 <= delta && fa.is_some() != fb.is_some() {
+            let u = if fa.is_none() { a } else { b };
+            let fu = probe.eval(u)?;
+            if u == a {
+                fa = Some(fu);
+            } else {
+                fb = Some(fu);
+            }
+            (u, fu)
+        } else {
+            let u = if x - a > b - x {
+                x - GOLD * (x - a)
+            } else {
+                x + GOLD * (b - x)
+            };
+            let fu = probe.eval(u)?;
+            let mut end = (u, fu);
+            if fu < fx - delta || (u < x && fu <= best.1 + delta) {
+                (end, (x, fx)) = ((x, fx), end);
+            }
+            if end.0 < x {
+                (a, fa) = (end.0, Some(end.1));
+            } else {
+                (b, fb) = (end.0, Some(end.1));
+            }
+            (u, fu)
+        };
+        if fu < best.1 {
+            best = (u, fu);
+        }
+        most = most.max(fu);
     }
-    Ok(if fc < fd {
-        (Pascal::new(c), fc)
-    } else {
-        (Pascal::new(d), fd)
-    })
 }
 
 #[cfg(test)]
@@ -845,13 +893,90 @@ mod tests {
     fn golden_finds_unimodal_minimum() {
         let mut f = unimodal;
         let (p, v) = golden_min(&mut f, Pascal::new(1.0e3), Pascal::new(1.0e6), &opts()).unwrap();
-        let p_min = (1.0e5f64 / 1.0e-4).sqrt();
-        assert!(
-            (p.value() - p_min).abs() / p_min < 0.01,
-            "p = {}",
-            p.value()
-        );
-        assert!((v - 2.0 * 10.0f64.sqrt()).abs() < 1e-2);
+        assert_eq!(v, unimodal(p).unwrap());
+        let f_min = 2.0 * 10.0f64.sqrt();
+        assert!(v - f_min <= RESOLUTION.value(), "f({p}) = {v}");
+    }
+
+    /// Runs the golden section on `f` over `[lo, hi]` and returns the
+    /// probed pressures and the answer.
+    fn golden_sequence(f: &dyn Fn(f64) -> f64, lo: f64, hi: f64) -> (Vec<f64>, (Pascal, f64)) {
+        let mut seq = Vec::new();
+        let mut g = |p: Pascal| {
+            seq.push(p.value());
+            Ok(f(p.value()))
+        };
+        let r = golden_min(&mut g, Pascal::new(lo), Pascal::new(hi), &opts()).unwrap();
+        (seq, r)
+    }
+
+    #[test]
+    fn golden_stops_on_a_plateau() {
+        // Both interior probes agree, so the unprobed end is probed; it
+        // agrees too, and the bracket is flat within δ.
+        let (seq, (p, v)) = golden_sequence(&|_| 3.0, 1.0e2, 1.0e4);
+        assert!(seq.len() <= 4, "{seq:?}");
+        assert_eq!(v, 3.0);
+        assert!(p.value() > 1.0e2 && p.value() < 1.0e4);
+    }
+
+    #[test]
+    fn golden_bowl_is_within_resolution() {
+        // f = 5 + k·((p − p_m)/p_m)² on a Problem-2 window [P*/256, P*]:
+        // from a bowl flat within δ over the whole window to one whose
+        // answer the pressure tolerance decides.
+        for p_m in [100.0, 1.0e3, 4.0e3, 9.0e3] {
+            for k in [1e-3, 3e-3, 1e-1, 1.0, 3.0, 10.0, 100.0, 1e3] {
+                let f = |p: f64| 5.0 + k * ((p - p_m) / p_m).powi(2);
+                let (seq, (p, v)) = golden_sequence(&f, 1.0e4 / 256.0, 1.0e4);
+                assert_eq!(v, f(p.value()));
+                assert!(
+                    v - 5.0 <= RESOLUTION.value(),
+                    "p_m = {p_m}, k = {k}: f({p}) = {v} after {} probes",
+                    seq.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn golden_flat_steps_do_not_drift() {
+        // A shallow V, 1 mK per kPa either side of 3 kPa: neighbouring
+        // probes agree within δ, so every flat pair goes left. Measured
+        // from the least f probed, the kept probe stops drifting within δ
+        // of it, and the search ends after 5 probes; measured from the
+        // kept probe alone, it walked down to the window floor in 27.
+        let f = |p: f64| 5.0 + 1.0e-6 * (p - 3.0e3).abs();
+        let (seq, (p, v)) = golden_sequence(&f, 1.0e4 / 256.0, 1.0e4);
+        assert!(seq.len() <= 5, "{seq:?}");
+        assert_eq!(v, f(p.value()));
+        assert!(v - 5.0 <= RESOLUTION.value(), "f({p}) = {v}");
+    }
+
+    #[test]
+    fn golden_probes_stay_in_the_bracket() {
+        // Every probe lies in [lo, hi], and none repeats: a bowl, a kink,
+        // both monotone directions and a plateau.
+        let (lo, hi) = (40.0, 1.0e4);
+        let shapes: [&dyn Fn(f64) -> f64; 5] = [
+            &|p| 1.0e5 / p + 1.0e-4 * p,
+            &|p| 4.0 + 3.0e-3 * (p - 300.0).abs(),
+            &|p| 1.0e3 / p,
+            &|p| p * 1.0e-2,
+            &|_| 1.0,
+        ];
+        for (i, f) in shapes.iter().enumerate() {
+            let (seq, (p, _)) = golden_sequence(f, lo, hi);
+            assert!(
+                seq.iter().all(|&q| (lo..=hi).contains(&q)),
+                "shape {i}: {seq:?}"
+            );
+            assert!(seq.contains(&p.value()), "shape {i}: {p} was not probed");
+            let mut sorted = seq.clone();
+            sorted.sort_by(f64::total_cmp);
+            sorted.dedup();
+            assert_eq!(sorted.len(), seq.len(), "shape {i}: {seq:?}");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use coolnet_opt::psearch::{
     golden_min, min_pressure_for_peak, minimize_pressure_for_gradient, PressureSearchOptions,
+    RESOLUTION,
 };
 use coolnet_units::{Kelvin, Pascal};
 use proptest::prelude::*;
@@ -124,23 +125,27 @@ proptest! {
         depth in 0.1f64..100.0,
         curvature in 1.0e-8f64..1.0e-4,
     ) {
-        // Quadratic-in-log bowl centered at p_min.
+        // Quadratic bowl centered at p_min. The search stops at the
+        // resolution δ or at the pressure tolerance, whichever comes first:
+        // the answer's value is within δ of the minimum, or the answer is
+        // within rel_tol of p_min. Every probe lies in the bracket.
+        let (lo, hi) = (p_min / 50.0, p_min * 50.0);
+        let mut outside = 0usize;
         let mut f = |p: Pascal| {
+            if !(lo..=hi).contains(&p.value()) {
+                outside += 1;
+            }
             let d = p.value() - p_min;
             Ok(depth + curvature * d * d)
         };
-        let (p, v) = golden_min(
-            &mut f,
-            Pascal::new(p_min / 50.0),
-            Pascal::new(p_min * 50.0),
-            &opts(),
-        )
-        .unwrap();
+        let (p, v) = golden_min(&mut f, Pascal::new(lo), Pascal::new(hi), &opts()).unwrap();
+        prop_assert_eq!(outside, 0);
+        let d = p.value() - p_min;
+        prop_assert_eq!(v, depth + curvature * d * d);
         prop_assert!(
-            (p.value() - p_min).abs() / p_min < 0.05,
-            "{} vs {p_min}",
+            v - depth <= RESOLUTION.value() || d.abs() <= opts().rel_tol * p_min,
+            "f({}) = {v}, minimum {depth} at {p_min}",
             p.value()
         );
-        prop_assert!(v < depth * 1.1 + 1.0);
     }
 }

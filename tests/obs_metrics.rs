@@ -34,7 +34,8 @@ fn setup() -> (Benchmark, CoolingNetwork) {
 
 /// Inside a pure golden-section window every probe is one `Evaluator`
 /// profile, which is one cached steady solve, which is one resilient
-/// ladder solve — the four counters must march in lockstep.
+/// ladder solve — the four counters must march in lockstep. The window is
+/// Problem 2's, `[P*/256, P*]`, so no pressure is probed twice.
 #[test]
 fn golden_min_window_counts_march_in_lockstep() {
     let _guard = metrics_lock();
@@ -43,17 +44,13 @@ fn golden_min_window_counts_march_in_lockstep() {
     // Warm the evaluator outside the window so the first-solve cache
     // construction doesn't show up in the deltas.
     ev.profile(Pascal::from_kilopascals(10.0)).unwrap();
+    let p_star = ev.pressure_for_power(bench.w_pump_limit());
 
     let before = obs::snapshot();
     let mut f = |p: Pascal| ev.profile(p).map(|pr| pr.delta_t.value());
     let opts = PressureSearchOptions::default();
-    let (p_best, _) = golden_min(
-        &mut f,
-        Pascal::from_kilopascals(2.0),
-        Pascal::from_kilopascals(20.0),
-        &opts,
-    )
-    .unwrap();
+    let (p_best, _) =
+        golden_min(&mut f, Pascal::new(p_star.value() / 256.0), p_star, &opts).unwrap();
     let after = obs::snapshot();
 
     assert!(p_best.value() > 0.0);
@@ -72,7 +69,7 @@ fn golden_min_window_counts_march_in_lockstep() {
 }
 
 /// The full Problem-2 pipeline: psearch probes are a subset of evaluator
-/// profiles (the pipeline also probes the cap and floor directly), every
+/// profiles (the pipeline also probes the cap and 0.95 × cap directly), every
 /// profile is a steady solve, and the no-fault path never escalates.
 #[test]
 fn problem2_pipeline_metrics_are_consistent() {
